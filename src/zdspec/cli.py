@@ -166,7 +166,8 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "csv") -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
     sub.add_argument("--seed", type=int, help="seed for sampled verification")
     sub.add_argument("--threads", type=int, metavar="K",
-                     help="worker threads for table rows (default: all cores)")
+                     help="accepted for compatibility; power-map tables are "
+                          "one kernel row plus a gather and use one thread")
     sub.add_argument("--force", action="store_true",
                      help="run computations above the evaluation budget")
     sub.add_argument("--cache", metavar="PATH",

@@ -10,8 +10,13 @@ For a function F on GF(p^n) this module computes, by full enumeration:
 
 together with the derived uniformities, histogram summaries, a
 structural property check for the char-2 table, and CSV/JSON emission.
-Counting one (a, b) entry is O(p^n); full tables are O(p^3n) and are
-meant for desk-scale fields.
+
+Counting one (a, b) entry directly is O(q) for q = p^n.  Whole rows come
+from one kernel: with g = D_aF, the row a of both tables follows from
+the fibers of g, at a cost of sum_v DDT(a, v)^2 pair evaluations.  A
+power map needs only row a = 1, because its counts are invariant under
+(a, b) -> (ca, cb); its spectrum costs that one row, and its full tables
+one row plus a gather.  Any other function costs q rows per table.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .gf import Field, FieldElement
 class PowerFunction:
     """The power map x -> x^d on a field, with 0^d = 0 for every d >= 1."""
 
-    __slots__ = ("field", "d")
+    __slots__ = ("field", "d", "_rows")
 
     def __init__(self, field: Field, d: int):
         if d < 1:
@@ -98,49 +103,131 @@ def _as_idx(field: Field, v) -> int:
 class _PairCounter:
     """Counts second-order zero solutions for one (a, b) pair, vectorized
     over x.  In characteristic 2 the four terms combine by xor; otherwise
-    the signed sum is carried out digitwise mod p."""
+    the signed sum is carried out digitwise mod p.  This is the direct
+    per-entry path, independent of the row kernel below."""
 
     def __init__(self, fn):
         self.field: Field = fn.field
         self.tables = self.field.tables
         self.values = fn.values()
-        if self.field.p == 2:
-            self.X = self.tables.indices
-        else:
+        if self.field.p != 2:
             self.vdigits = self.tables.digits[self.values]
-            self._perms: dict[int, np.ndarray] = {}
-
-    def _perm(self, e: int) -> np.ndarray:
-        # x -> x + e as an index permutation; idempotent to recompute, so
-        # the cache needs no locking under concurrent row workers.
-        perm = self._perms.get(e)
-        if perm is None:
-            perm = self.tables.add_vec(self.tables.indices, e)
-            self._perms[e] = perm
-        return perm
 
     def count(self, ia: int, ib: int) -> int:
         f = self.field
+        t = self.tables
+        x = t.indices
         if f.p == 2:
             v = self.values
-            x = self.X
             acc = v[x ^ (ia ^ ib)] ^ v[x ^ ib] ^ v[x ^ ia] ^ v
             return int(np.count_nonzero(acc == 0))
-        iab = f._add_idx(ia, ib)
         vd = self.vdigits
-        m = vd[self._perm(iab)] - vd[self._perm(ib)] - vd[self._perm(ia)] + vd
+        m = (vd[t.add_vec(x, f._add_idx(ia, ib))] - vd[t.add_vec(x, ib)]
+             - vd[t.add_vec(x, ia)] + vd)
         return int(np.count_nonzero(np.all(m % f.p == 0, axis=1)))
 
 
-def make_sozd_counter(fn) -> Callable[[int, int], int]:
-    """A reusable (a_idx, b_idx) -> count closure for hot loops."""
-    return _PairCounter(fn).count
+def _diff_vec(fn, tables, ia: int) -> np.ndarray:
+    """D_aF(x) = F(x+a) - F(x) at every x, as element indices."""
+    values = fn.values()
+    return tables.sub_vec(values[tables.add_vec(tables.indices, ia)], values)
 
 
 def _ddt_row(fn, tables, ia: int) -> np.ndarray:
-    values = fn.values()
-    diffs = tables.sub_vec(values[tables.add_vec(tables.indices, ia)], values)
-    return np.bincount(diffs, minlength=fn.field.order)
+    return np.bincount(_diff_vec(fn, tables, ia), minlength=fn.field.order)
+
+
+#: Elements per numpy temporary in the row kernel and the table gather.
+_BLOCK = 1 << 18
+
+
+def _fiber_row(fn, ia: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DDT row and the second-order row of a, from one pass over g = D_aF.
+
+    The second-order count of (a, b) is |{x : g(x+b) = g(x)}|, the number
+    of ordered pairs (x, y) in one fiber of g with y - x = b.  Fibers of
+    equal size s are stacked into (k, s) blocks and their differences
+    counted in (k, s, s) slabs of at most _BLOCK pairs, so the row costs
+    sum_v DDT(a, v)^2 <= q * delta pair evaluations.
+    """
+    field = fn.field
+    q = field.order
+    if ia == 0:
+        ddt = np.zeros(q, dtype=np.int64)
+        ddt[0] = q
+        return ddt, np.full(q, q, dtype=np.int64)
+    tables = field.tables
+    g = _diff_vec(fn, tables, ia)
+    ddt = np.bincount(g, minlength=q)
+    by_value = np.argsort(g, kind="stable")
+    sizes = ddt[ddt > 0]
+    starts = np.cumsum(sizes) - sizes
+    diff = np.bitwise_xor if field.p == 2 else tables.sub_vec
+    row = np.zeros(q, dtype=np.int64)
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        fibers = by_value[starts[sizes == s][:, None] + np.arange(s)]
+        k = max(1, _BLOCK // (s * s))
+        c = min(s, max(1, _BLOCK // s))
+        for i in range(0, len(fibers), k):
+            ys = fibers[i:i + k]
+            for j in range(0, s, c):
+                d = diff(ys[:, None, :], ys[:, j:j + c, None])
+                row += np.bincount(d.ravel(), minlength=q)
+    return ddt, row
+
+
+def _power_rows(fn: "PowerFunction") -> tuple[np.ndarray, np.ndarray]:
+    """_fiber_row(fn, 1), computed on first use and kept on fn.
+
+    For F(x) = x^d, substituting x -> cx shows that the second-order
+    count of (ca, cb) equals that of (a, b), and DDT(ca, c^d b) equals
+    DDT(a, b), for every c != 0.  Row a = 1 therefore fixes every entry.
+    Computing it is idempotent, so concurrent first calls need no lock.
+    """
+    rows = getattr(fn, "_rows", None)
+    if rows is None:
+        rows = fn._rows = _fiber_row(fn, 1)
+    return rows
+
+
+def _gather_table(field: Field, row0: np.ndarray, row1: np.ndarray,
+                  e: int) -> np.ndarray:
+    """The q x q table with row 0 as given and entry (a, b) = row1[b * a^-e]
+    for a != 0, gathered in log coordinates a block of rows at a time."""
+    q = field.order
+    m = q - 1
+    exp, log = field.tables._explog
+    out = np.empty((q, q), dtype=np.int64)
+    out[0] = row0
+    out[1:, 0] = row1[0]
+    cyclic = np.tile(row1[exp], 2)
+    log_b = log[1:]
+    shift = (-(e % m) * log_b) % m
+    step = max(1, _BLOCK // q)
+    for a in range(1, q, step):
+        out[a:a + step, 1:] = cyclic[shift[a - 1:a - 1 + step, None] + log_b]
+    return out
+
+
+def make_sozd_counter(fn) -> Callable[[int, int], int]:
+    """A reusable (a_idx, b_idx) -> count closure for hot loops.
+
+    For a power map the count is read from row 1 at b/a; any other
+    function is counted entry by entry.
+    """
+    if not isinstance(fn, PowerFunction):
+        return _PairCounter(fn).count
+    q = fn.field.order
+    m = q - 1
+    row = _power_rows(fn)[1].tolist()
+    exp, log = (t.tolist() for t in fn.field.tables._explog)
+
+    def count(ia: int, ib: int) -> int:
+        if ia == 0 or ib == 0:
+            return q
+        return row[exp[(log[ib] - log[ia]) % m]]
+
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +242,14 @@ def ddt_entry(fn, a, b) -> int:
 
 def differential_uniformity(fn) -> int:
     """Max DDT entry over a != 0 (all b)."""
-    if fn.field.order < 2:
+    field = fn.field
+    if field.order < 2:
         raise ValueError("field too small")
-    tables = fn.field.tables
-    best = 0
-    for ia in range(1, fn.field.order):
-        best = max(best, int(_ddt_row(fn, tables, ia).max()))
-    return best
+    if isinstance(fn, PowerFunction):
+        # every row a != 0 permutes the columns of row 1
+        return int(_power_rows(fn)[0].max())
+    return max(int(_ddt_row(fn, field.tables, ia).max())
+               for ia in range(1, field.order))
 
 
 def sozd_entry(fn, a, b) -> int:
@@ -178,16 +266,8 @@ def fbct_entry(fn, a, b) -> int:
     return sozd_entry(fn, a, b)
 
 
-def _admissible_pairs(field: Field):
-    """Pairs over which the second-order uniformity is taken: both nonzero,
-    and additionally a != b when p = 2."""
-    q = field.order
-    if field.p == 2:
-        return ((a, b) for a in range(1, q) for b in range(1, q) if a != b)
-    return ((a, b) for a in range(1, q) for b in range(1, q))
-
-
 def admissible_descriptor(field: Field) -> str:
+    """The pairs over which the second-order uniformity is taken."""
     if field.p == 2:
         return "a != 0, b != 0, a != b"
     return "a != 0, b != 0"
@@ -216,11 +296,21 @@ class SpectrumSummary:
 def sozd_spectrum(fn) -> SpectrumSummary:
     """Histogram and max of the second-order counts over admissible pairs."""
     field = fn.field
-    count = _PairCounter(fn).count
-    hist: dict[int, int] = {}
-    for ia, ib in _admissible_pairs(field):
-        c = count(ia, ib)
-        hist[c] = hist.get(c, 0) + 1
+    q = field.order
+    char2 = field.p == 2
+    counts = np.zeros(q + 1, dtype=np.int64)
+    if isinstance(fn, PowerFunction):
+        # (a, b) -> b/a maps the admissible pairs (q-1)-to-one onto the
+        # nonzero ratios, excluding 1 when p = 2
+        row = _power_rows(fn)[1]
+        counts += (q - 1) * np.bincount(np.delete(row, [0, 1] if char2 else [0]),
+                                        minlength=q + 1)
+    else:
+        for ia in range(1, q):
+            row = _fiber_row(fn, ia)[1]
+            counts += np.bincount(np.delete(row, [0, ia] if char2 else [0]),
+                                  minlength=q + 1)
+    hist = {c: k for c, k in enumerate(counts.tolist()) if k}
     uniformity = max(hist) if hist else 0
     return SpectrumSummary(hist, uniformity, admissible_descriptor(field))
 
@@ -244,7 +334,12 @@ TABLE_KINDS = ("ddt", "fbct", "sozd")
 
 
 def evaluation_estimate(field: Field, which: str) -> int:
-    """Number of point evaluations a full table costs."""
+    """Point evaluations of a full table by per-entry counting.
+
+    The row kernel needs far fewer, but this q^2 / q^3 figure stays the
+    budget unit of the CLI guard and of the survey, so that what they
+    refuse or skip does not change.
+    """
     q = field.order
     return q * q if which == "ddt" else q * q * q
 
@@ -252,8 +347,10 @@ def evaluation_estimate(field: Field, which: str) -> int:
 def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
     """Full q x q table of counts, rows and columns in canonical order.
 
-    Rows are independent and computed in parallel; assembly indexes rows
-    by position, so the output is identical for any thread count.
+    A power map costs one kernel row plus a gather, and ignores threads.
+    Any other function costs q kernel rows, computed on `threads` workers
+    (default: all cores); assembly indexes rows by position, so the
+    output is identical for any thread count.
     """
     if which not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {which!r}; expected one of {TABLE_KINDS}")
@@ -261,18 +358,20 @@ def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
     if which == "fbct" and field.p != 2:
         raise ValueError("the Feistel boomerang table requires characteristic 2")
     q = field.order
-    out = np.empty((q, q), dtype=np.int64)
-    tables = field.tables
+    if isinstance(fn, PowerFunction):
+        ddt1, row1 = _power_rows(fn)
+        if which == "ddt":
+            return _gather_table(field, _fiber_row(fn, 0)[0], ddt1, fn.d)
+        return _gather_table(field, np.full(q, q, dtype=np.int64), row1, 1)
+
     if which == "ddt":
         def row(ia: int) -> np.ndarray:
-            return _ddt_row(fn, tables, ia)
+            return _ddt_row(fn, field.tables, ia)
     else:
-        counter = _PairCounter(fn)
-
         def row(ia: int) -> np.ndarray:
-            return np.fromiter((counter.count(ia, ib) for ib in range(q)),
-                               dtype=np.int64, count=q)
+            return _fiber_row(fn, ia)[1]
 
+    out = np.empty((q, q), dtype=np.int64)
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
     if workers == 1 or q == 1:
         for ia in range(q):
@@ -380,8 +479,8 @@ def table_to_csv(matrix: np.ndarray, field: Field) -> str:
         raise ValueError("matrix shape does not match the field order")
     labels = [element_label(field, i) for i in range(q)]
     lines = ["a\\b," + ",".join(labels)]
-    for ia in range(q):
-        lines.append(labels[ia] + "," + ",".join(str(int(v)) for v in matrix[ia]))
+    for label, row in zip(labels, matrix):
+        lines.append(label + "," + ",".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -390,7 +489,7 @@ def table_to_json(matrix: np.ndarray, field: Field, which: str, d: int | None = 
         "table": which,
         "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
         "labels": [element_label(field, i) for i in range(field.order)],
-        "rows": [[int(v) for v in row] for row in matrix],
+        "rows": matrix.tolist(),
     }
     if d is not None:
         payload["d"] = d

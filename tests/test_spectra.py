@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zdspec.gf import Field
+from zdspec import spectra
+from zdspec.gf import Field, canonical_field
 from zdspec.spectra import (
     LookupFunction,
     PowerFunction,
@@ -24,6 +26,7 @@ from zdspec.spectra import (
     sozd_uniformity,
     table_to_csv,
     table_to_json,
+    _PairCounter,
 )
 
 
@@ -140,12 +143,14 @@ def test_sozd_uniformity_known_values():
 
 
 def test_sozd_homogeneity():
-    """Counts are invariant under (a, b) -> (ca, cb) for power maps."""
+    """Counts are invariant under (a, b) -> (ca, cb) for power maps.
+
+    Checked on the per-entry path: the fast counter assumes this."""
     rng = random.Random(6)
     for p, n, d in [(2, 5, 7), (3, 2, 5), (2, 6, 19)]:
         f = Field(p, n)
         fn = PowerFunction(f, d)
-        counter = make_sozd_counter(fn)
+        counter = _PairCounter(fn).count
         for _ in range(40):
             a = f.element(rng.randrange(1, f.order))
             b = f.element(rng.randrange(1, f.order))
@@ -225,19 +230,127 @@ def test_full_table_dimensions_and_entries():
 
 def test_full_table_thread_count_does_not_change_output():
     f = Field(2, 5)
-    fn = PowerFunction(f, 7)
-    m1 = full_table(fn, "sozd", threads=1)
-    m4 = full_table(fn, "sozd", threads=4)
-    assert (m1 == m4).all()
-    d1 = full_table(fn, "ddt", threads=1)
-    d3 = full_table(fn, "ddt", threads=3)
-    assert (d1 == d3).all()
+    rng = random.Random(5)
+    for fn in (PowerFunction(f, 7), LookupFunction(f, [rng.randrange(32) for _ in range(32)])):
+        m1 = full_table(fn, "sozd", threads=1)
+        m4 = full_table(fn, "sozd", threads=4)
+        assert (m1 == m4).all()
+        d1 = full_table(fn, "ddt", threads=1)
+        d3 = full_table(fn, "ddt", threads=3)
+        assert (d1 == d3).all()
 
 
 def test_sozd_table_equals_fbct_table_char2():
     f = Field(2, 4)
     fn = PowerFunction(f, 7)
     assert (full_table(fn, "sozd") == full_table(fn, "fbct")).all()
+
+
+# ---------------------------------------------------------------------------
+# row kernel and homogeneity against the per-entry oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 1)]
+
+
+def oracle_exponents(q):
+    """d = 1 and 2, two nonlinear exponents, q - 1 (constant on F*), d > q."""
+    return sorted({1, 2, 3, 7, max(q - 1, 1), 3 * q + 2})
+
+
+def brute_ddt_table(fn):
+    """DDT from the defining equation, one field element at a time."""
+    f = fn.field
+    out = np.zeros((f.order, f.order), dtype=np.int64)
+    for a in f:
+        for x in f:
+            out[a.idx, (fn(x + a) - fn(x)).idx] += 1
+    return out
+
+
+def brute_sozd_table(fn):
+    count = _PairCounter(fn).count
+    q = fn.field.order
+    return np.array([[count(ia, ib) for ib in range(q)] for ia in range(q)],
+                    dtype=np.int64)
+
+
+def brute_spectrum(field, table):
+    hist = {}
+    for ia in range(1, field.order):
+        for ib in range(1, field.order):
+            if field.p == 2 and ia == ib:
+                continue
+            c = int(table[ia, ib])
+            hist[c] = hist.get(c, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_power_tables_and_spectra_match_oracles(p, n):
+    f = Field(p, n)
+    for d in oracle_exponents(f.order):
+        fn = PowerFunction(f, d)
+        ddt = brute_ddt_table(fn)
+        sozd = brute_sozd_table(fn)
+        assert (full_table(fn, "ddt") == ddt).all(), d
+        assert (full_table(fn, "sozd") == sozd).all(), d
+        if p == 2:
+            assert (full_table(fn, "fbct") == sozd).all(), d
+        assert differential_uniformity(fn) == int(ddt[1:].max()), d
+        hist = brute_spectrum(f, sozd)
+        summary = sozd_spectrum(PowerFunction(f, d))
+        assert summary.histogram == hist, d
+        assert summary.uniformity == (max(hist) if hist else 0), d
+
+
+def test_row_kernel_slabs_do_not_change_rows(monkeypatch):
+    """Tiny slabs split both the fibers and the pairs within one fiber."""
+    monkeypatch.setattr(spectra, "_BLOCK", 5)
+    for p, n, d in [(2, 5, 31), (2, 5, 7), (3, 3, 26), (3, 3, 7)]:
+        fn = PowerFunction(Field(p, n), d)
+        assert (full_table(fn, "sozd") == brute_sozd_table(fn)).all(), (p, n, d)
+        assert (full_table(fn, "ddt") == brute_ddt_table(fn)).all(), (p, n, d)
+
+
+def test_gf2_has_empty_admissible_set():
+    summary = sozd_spectrum(PowerFunction(Field(2, 1), 1))
+    assert summary.histogram == {}
+    assert summary.uniformity == 0
+    assert feistel_boomerang_uniformity(PowerFunction(Field(2, 1), 3)) == 0
+
+
+@st.composite
+def lookup_functions(draw):
+    p, n = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 2)]))
+    q = p ** n
+    values = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    return LookupFunction(Field(p, n), values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lookup_functions())
+def test_lookup_function_rows_match_pair_counter(fn):
+    f = fn.field
+    sozd = brute_sozd_table(fn)
+    table = full_table(fn, "sozd", threads=1)
+    for ia in range(f.order):
+        assert (table[ia] == sozd[ia]).all(), ia
+    ddt = brute_ddt_table(fn)
+    assert (full_table(fn, "ddt", threads=1) == ddt).all()
+    assert sozd_spectrum(fn).histogram == brute_spectrum(f, sozd)
+    assert differential_uniformity(fn) == int(ddt[1:].max())
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
+def test_power_counter_matches_entry_path_on_verify_fields(p, n):
+    f = canonical_field(p, n)
+    fn = PowerFunction(f, 7)
+    counter = make_sozd_counter(fn)
+    rng = random.Random(p * 100 + n)
+    for _ in range(50):
+        ia, ib = rng.randrange(f.order), rng.randrange(f.order)
+        assert counter(ia, ib) == sozd_entry(fn, ia, ib), (ia, ib)
 
 
 # ---------------------------------------------------------------------------
