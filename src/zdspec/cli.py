@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import closedform, gf, spectra, survey
 
@@ -27,33 +26,6 @@ from . import closedform, gf, spectra, survey
 FORCE_THRESHOLD = 1 << 30
 #: Field order above which full tables are refused without --force.
 TABLE_ORDER_LIMIT = 1 << 12
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: flags beat the environment, which beats defaults."""
-
-    command: str
-    p: int | None = None
-    n: int | None = None
-    d: int | None = None
-    which: str | None = None
-    theorem: str | None = None
-    modulus: tuple[int, ...] | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    seed: int | None = None
-    sample: int | None = None
-    threads: int | None = None
-    force: bool = False
-    cache: str | None = None
-    rows: list[str] | None = None
-
-
-def _resolve_cache(flag_value: str | None) -> str | None:
-    if flag_value:
-        return flag_value
-    return os.environ.get("ZDSPEC_CACHE") or None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -65,10 +37,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_field(cfg: RunConfig) -> gf.Field:
-    if cfg.modulus is not None:
-        return gf.Field(cfg.p, cfg.n, cfg.modulus)
-    return gf.canonical_field(cfg.p, cfg.n, cfg.cache)
+def _build_field(args: argparse.Namespace) -> gf.Field:
+    if args.modulus is not None:
+        return gf.Field(args.p, args.n, args.modulus)
+    return gf.canonical_field(args.p, args.n, args.cache)
 
 
 def _parse_modulus(text: str) -> tuple[int, ...]:
@@ -82,55 +54,55 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_field(cfg: RunConfig) -> int:
-    field = _build_field(cfg)
-    if cfg.cache and cfg.modulus is None:
-        gf.append_field_cache(cfg.cache, field.spec)
-    if cfg.fmt == "json":
+def _cmd_field(args: argparse.Namespace) -> int:
+    field = _build_field(args)
+    if args.cache and args.modulus is None:
+        gf.append_field_cache(args.cache, field.spec)
+    if args.fmt == "json":
         import json
         text = json.dumps({"p": field.p, "n": field.n,
                            "modulus": list(field.modulus)}, indent=2) + "\n"
     else:
         text = gf.cache_line(field.spec) + "\n"
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    field = _build_field(cfg)
-    estimate = spectra.evaluation_estimate(field, cfg.which)
-    if not cfg.force and (estimate > FORCE_THRESHOLD or field.order > TABLE_ORDER_LIMIT):
-        print(f"refusing: a full {cfg.which} table over GF({field.p}^{field.n}) "
+def _cmd_table(args: argparse.Namespace) -> int:
+    field = _build_field(args)
+    estimate = spectra.evaluation_estimate(field, args.which)
+    if not args.force and (estimate > FORCE_THRESHOLD or field.order > TABLE_ORDER_LIMIT):
+        print(f"refusing: a full {args.which} table over GF({field.p}^{field.n}) "
               f"costs about {estimate} point evaluations "
               f"(limit {FORCE_THRESHOLD}); pass --force to run anyway",
               file=sys.stderr)
         return 2
-    fn = spectra.PowerFunction(field, cfg.d)
-    matrix = spectra.full_table(fn, cfg.which, threads=cfg.threads)
-    if cfg.fmt == "json":
-        text = spectra.table_to_json(matrix, field, cfg.which, cfg.d)
+    fn = spectra.PowerFunction(field, args.d)
+    matrix = spectra.full_table(fn, args.which)
+    if args.fmt == "json":
+        text = spectra.table_to_json(matrix, field, args.which, args.d)
     else:
         text = spectra.table_to_csv(matrix, field)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    field = _build_field(cfg)
-    sample = cfg.sample
+def _cmd_verify(args: argparse.Namespace) -> int:
+    field = _build_field(args)
+    sample = args.sample
     if sample is None and field.order > closedform.FULL_THRESHOLD:
         sample = closedform.DEFAULT_SAMPLE
     pairs = sample if sample is not None else field.order ** 2
     estimate = pairs * field.order
-    if not cfg.force and estimate > FORCE_THRESHOLD:
+    if not args.force and estimate > FORCE_THRESHOLD:
         print(f"refusing: verifying {pairs} pairs over GF({field.p}^{field.n}) "
               f"costs about {estimate} point evaluations "
               f"(limit {FORCE_THRESHOLD}); pass --force to run anyway",
               file=sys.stderr)
         return 2
-    report = closedform.verify_theorem(cfg.theorem, field,
-                                       sample=sample, seed=cfg.seed)
-    if cfg.fmt == "csv":
+    report = closedform.verify_theorem(args.theorem, field,
+                                       sample=sample, seed=args.seed)
+    if args.fmt == "csv":
         cols = ["theorem", "p", "n", "d", "mode", "pairs_checked",
                 "mismatch_count", "unpredicted_count", "uniformity",
                 "expected_uniformity", "seed", "passed"]
@@ -142,18 +114,22 @@ def _cmd_verify(cfg: RunConfig) -> int:
         text = ",".join(cols) + "\n" + ",".join(str(v) for v in row) + "\n"
     else:
         text = report.to_json()
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0 if not report.mismatches else 1
 
 
-def _cmd_survey(cfg: RunConfig) -> int:
-    results = survey.run_survey(cfg.rows, cache_path=cfg.cache)
-    if cfg.fmt == "json":
+def _cmd_survey(args: argparse.Namespace) -> int:
+    results = survey.run_survey(args.rows, cache_path=args.cache)
+    if args.fmt == "json":
         text = survey.survey_to_json(results)
     else:
         text = survey.survey_to_csv(results)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 1 if any(r.status == "mismatch" for r in results) else 0
+
+
+COMMANDS = {"field": _cmd_field, "table": _cmd_table, "verify": _cmd_verify,
+            "survey": _cmd_survey}
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +142,7 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "csv") -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
     sub.add_argument("--seed", type=int, help="seed for sampled verification")
     sub.add_argument("--threads", type=int, metavar="K",
-                     help="accepted for compatibility; power-map tables are "
-                          "one kernel row plus a gather and use one thread")
+                     help="accepted for compatibility and ignored")
     sub.add_argument("--force", action="store_true",
                      help="run computations above the evaluation budget")
     sub.add_argument("--cache", metavar="PATH",
@@ -226,34 +201,13 @@ def main(argv=None) -> int:
         sys.stdout.write("\n".join(survey.catalog_keys()) + "\n")
         return 0
 
-    cfg = RunConfig(
-        command=args.command,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        threads=args.threads,
-        force=args.force,
-        cache=_resolve_cache(args.cache),
-    )
+    args.cache = args.cache or os.environ.get("ZDSPEC_CACHE") or None
     try:
-        if args.command == "field":
-            cfg.p, cfg.n = args.p, args.n
-            return _cmd_field(cfg)
-        if args.command == "table":
-            cfg.p, cfg.n, cfg.d, cfg.which = args.p, args.n, args.d, args.which
-            if args.modulus:
-                cfg.modulus = _parse_modulus(args.modulus)
-            return _cmd_table(cfg)
-        if args.command == "verify":
-            cfg.p, cfg.n, cfg.theorem = args.p, args.n, args.theorem
-            cfg.sample = args.sample
-            if args.modulus:
-                cfg.modulus = _parse_modulus(args.modulus)
-            return _cmd_verify(cfg)
-        if args.command == "survey":
-            cfg.rows = args.rows.split(",") if args.rows else None
-            return _cmd_survey(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        modulus = getattr(args, "modulus", None)
+        args.modulus = _parse_modulus(modulus) if modulus else None
+        rows = getattr(args, "rows", None)
+        args.rows = rows.split(",") if rows else None
+        return COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

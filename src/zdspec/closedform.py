@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .equations import gf2_eliminate
 from .gf import Field, FieldElement
 from . import spectra
 
@@ -126,24 +127,8 @@ def _second_order_affine_count(field: Field, c: FieldElement, m: int) -> int:
         y = FieldElement(field, 1 << j)
         img = ca * y.frobenius(m + 1) + cb * (y * y) + cc * y
         cols.append(img.idx)
-    pivots: dict[int, tuple[int, int]] = {}
-    rank = 0
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if (cols[j] >> i) & 1:
-                mask |= 1 << j
-        r = (rhs >> i) & 1
-        for pb, (pm, pr) in pivots.items():
-            if (mask >> pb) & 1:
-                mask ^= pm
-                r ^= pr
-        if mask:
-            pivots[(mask & -mask).bit_length() - 1] = (mask, r)
-            rank += 1
-        elif r:
-            return 0
-    return 1 << (n - rank)
+    pivots = gf2_eliminate(cols, rhs, n)
+    return 0 if pivots is None else 1 << (n - len(pivots))
 
 
 def predict_x2m1p3(field: Field, a, b) -> PredictionOutcome:
@@ -395,15 +380,14 @@ class VerificationReport:
 
 
 def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
-                   seed: int | None = None,
-                   full_threshold: int = FULL_THRESHOLD) -> VerificationReport:
+                   seed: int | None = None) -> VerificationReport:
     """Compare a predictor against brute-force counts over (a, b) pairs.
 
-    All q^2 pairs are walked when q <= full_threshold and no sample size
-    is forced; otherwise `sample` pairs (default 10^4) are drawn
-    uniformly with the recorded seed.  Unpredicted entries are resolved
-    by brute force and listed separately; mismatches and unpredicted
-    entries are sorted by canonical element order.
+    All q^2 pairs are walked when q <= FULL_THRESHOLD and no sample size
+    is forced; otherwise `sample` pairs (default DEFAULT_SAMPLE) are
+    drawn uniformly with the recorded seed.  Unpredicted entries are
+    resolved by brute force and listed separately; mismatches and
+    unpredicted entries are sorted by canonical element order.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
@@ -414,7 +398,7 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
     fn = spectra.PowerFunction(field, d)
     counter = spectra.make_sozd_counter(fn)
 
-    if sample is None and q <= full_threshold:
+    if sample is None and q <= FULL_THRESHOLD:
         mode, seed_used = "full", None
         pairs = ((ia, ib) for ia in range(q) for ib in range(q))
         total = q * q
@@ -426,6 +410,7 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
         pairs = ((rng.randrange(q), rng.randrange(q)) for _ in range(total))
 
     char2 = field.p == 2
+    log = field.tables._explog[1].tolist()
     memo: dict[int, PredictionOutcome] = {}
     mismatches: list[Mismatch] = []
     unpredicted: list[tuple[int, int, int]] = []
@@ -435,8 +420,9 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
         if degenerate:
             outcome = spec.predict(field, ia, ib)
         else:
-            # nondegenerate predictions depend on (a, b) only through a/b
-            key = field._mul_idx(ia, field._inv_idx(ib))
+            # nondegenerate predictions depend on (a, b) only through a/b,
+            # keyed here by its discrete logarithm
+            key = (log[ia] - log[ib]) % (q - 1)
             outcome = memo.get(key)
             if outcome is None:
                 outcome = spec.predict(field, ia, ib)

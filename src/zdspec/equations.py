@@ -300,30 +300,42 @@ def solve_trinomial(eq: TrinomialEq) -> frozenset[FieldElement]:
     return frozenset(roots)
 
 
+def gf2_eliminate(cols, rhs: int, n: int) -> dict[int, tuple[int, int]] | None:
+    """Row-reduce the GF(2) system sum_j y_j cols[j] = rhs in n unknowns.
+
+    cols[j] and rhs are n-bit vectors packed into integers (bit i is row
+    i).  Returns {pivot column: (row mask, rhs bit)}, where each row's
+    lowest set bit is its pivot and no row has a bit at an earlier
+    row's pivot, or None when the system is inconsistent.  There are
+    then 2^(n - len(pivots)) solutions.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if (cols[j] >> i) & 1:
+                mask |= 1 << j
+        r = (rhs >> i) & 1
+        for pb, (pm, pr) in pivots.items():
+            if (mask >> pb) & 1:
+                mask ^= pm
+                r ^= pr
+        if mask:
+            pivots[(mask & -mask).bit_length() - 1] = (mask, r)
+        elif r:
+            return None
+    return pivots
+
+
 def solve_trinomial_linear(eq: TrinomialEq) -> frozenset[FieldElement]:
     """Independent solver: z -> z^(2^k) + z as a GF(2)-linear map on
     coefficient vectors, solved by Gaussian elimination."""
     field, k, B = eq.field, eq.k, eq.B
     n = field.n
     cols = [field._pow_idx(1 << j, 2 ** k) ^ (1 << j) for j in range(n)]
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if (cols[j] >> i) & 1:
-                mask |= 1 << j
-        rows.append((mask, (B.idx >> i) & 1))
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        for pb, (pm, pr) in pivots.items():
-            if (mask >> pb) & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask:
-            pb = (mask & -mask).bit_length() - 1
-            pivots[pb] = (mask, rhs)
-        elif rhs:
-            return frozenset()
+    pivots = gf2_eliminate(cols, B.idx, n)
+    if pivots is None:
+        return frozenset()
     free = [j for j in range(n) if j not in pivots]
     out = []
     for assign in range(1 << len(free)):

@@ -8,6 +8,7 @@ read-only so accidental mutation fails loudly.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,9 @@ class FieldTables:
     """Vectorized index-space kernels for a single field."""
 
     def __init__(self, field):
-        self.field = field
+        # a proxy, not a reference: the field owns its tables, and a cycle
+        # would keep both alive until the cyclic GC runs
+        self.field = weakref.proxy(field)
         self.p = field.p
         self.n = field.n
         self.q = field.order
@@ -75,11 +78,6 @@ class FieldTables:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self._recompose((self.digits[a] - self.digits[b]) % self.p)
-
-    def neg_vec(self, a) -> np.ndarray:
-        if self.p == 2:
-            return np.asarray(a)
-        return self._recompose((-self.digits[a]) % self.p)
 
     # -- multiplicative layer --------------------------------------------------
 
@@ -203,9 +201,6 @@ class FieldTables:
         out = np.where(t == 1, 1, -1).astype(np.int64)
         out[0] = 0
         return _frozen(out)
-
-    def subfield_mask(self, m: int) -> np.ndarray:
-        return self.frob_map(m % self.n) == self.indices if m % self.n else np.ones(self.q, bool)
 
     def eval_poly(self, coeff_indices) -> np.ndarray:
         """Evaluate sum(c_i x^i) at every field element (Horner)."""

@@ -227,7 +227,7 @@ class FieldSpec:
 class Field:
     """Arithmetic engine for GF(p^n); elements are created through it."""
 
-    __slots__ = ("spec", "_modbits", "_zero", "_one", "_tables", "_subfields")
+    __slots__ = ("spec", "_modbits", "_tables", "_subfields", "__weakref__")
 
     def __init__(self, p, n: int | None = None, modulus: Sequence[int] | None = None,
                  *, max_order: int = DESK_SCALE_BOUND):
@@ -246,8 +246,6 @@ class Field:
         self.spec = spec
         # packed modulus bits for the char-2 fast path
         self._modbits = sum(c << i for i, c in enumerate(spec.modulus)) if spec.p == 2 else 0
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
         self._tables = None
         self._subfields = {}
 
@@ -280,13 +278,16 @@ class Field:
 
     # -- element construction ----------------------------------------------
 
+    # zero and one are built on access: an element held by its field
+    # would make a reference cycle that only the cyclic GC frees
+
     @property
     def zero(self) -> "FieldElement":
-        return self._zero
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return self._one
+        return FieldElement(self, 1)
 
     @property
     def x(self) -> "FieldElement":
@@ -328,43 +329,26 @@ class Field:
 
     # -- index-space arithmetic ---------------------------------------------
 
-    def _add_idx(self, i: int, j: int) -> int:
+    def _digitwise(self, i: int, j: int, sign: int) -> int:
+        """i + sign * j, one base-p digit at a time (p odd)."""
         p = self.spec.p
-        if p == 2:
-            return i ^ j
         out = 0
         mult = 1
         for _ in range(self.spec.n):
-            out += ((i + j) % p) * mult
+            out += ((i + sign * j) % p) * mult
             i //= p
             j //= p
             mult *= p
         return out
 
-    def _neg_idx(self, i: int) -> int:
-        p = self.spec.p
-        if p == 2:
-            return i
-        out = 0
-        mult = 1
-        for _ in range(self.spec.n):
-            out += (-i % p) * mult
-            i //= p
-            mult *= p
-        return out
+    def _add_idx(self, i: int, j: int) -> int:
+        return i ^ j if self.spec.p == 2 else self._digitwise(i, j, 1)
 
     def _sub_idx(self, i: int, j: int) -> int:
-        p = self.spec.p
-        if p == 2:
-            return i ^ j
-        out = 0
-        mult = 1
-        for _ in range(self.spec.n):
-            out += ((i - j) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return out
+        return i ^ j if self.spec.p == 2 else self._digitwise(i, j, -1)
+
+    def _neg_idx(self, i: int) -> int:
+        return self._sub_idx(0, i)
 
     def _mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:

@@ -16,14 +16,13 @@ from one kernel: with g = D_aF, the row a of both tables follows from
 the fibers of g, at a cost of sum_v DDT(a, v)^2 pair evaluations.  A
 power map needs only row a = 1, because its counts are invariant under
 (a, b) -> (ca, cb); its spectrum costs that one row, and its full tables
-one row plus a gather.  Any other function costs q rows per table.
+one row plus a gather.  Any other function costs q rows per table,
+computed one after another on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -347,10 +346,9 @@ def evaluation_estimate(field: Field, which: str) -> int:
 def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
     """Full q x q table of counts, rows and columns in canonical order.
 
-    A power map costs one kernel row plus a gather, and ignores threads.
-    Any other function costs q kernel rows, computed on `threads` workers
-    (default: all cores); assembly indexes rows by position, so the
-    output is identical for any thread count.
+    A power map costs one kernel row plus a gather; any other function
+    costs q kernel rows, computed one after another.  `threads` is
+    accepted for compatibility and ignored.
     """
     if which not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {which!r}; expected one of {TABLE_KINDS}")
@@ -363,23 +361,10 @@ def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
         if which == "ddt":
             return _gather_table(field, _fiber_row(fn, 0)[0], ddt1, fn.d)
         return _gather_table(field, np.full(q, q, dtype=np.int64), row1, 1)
-
-    if which == "ddt":
-        def row(ia: int) -> np.ndarray:
-            return _ddt_row(fn, field.tables, ia)
-    else:
-        def row(ia: int) -> np.ndarray:
-            return _fiber_row(fn, ia)[1]
-
     out = np.empty((q, q), dtype=np.int64)
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or q == 1:
-        for ia in range(q):
-            out[ia] = row(ia)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for ia, r in enumerate(pool.map(row, range(q))):
-                out[ia] = r
+    for ia in range(q):
+        out[ia] = (_ddt_row(fn, field.tables, ia) if which == "ddt"
+                   else _fiber_row(fn, ia)[1])
     return out
 
 
@@ -428,7 +413,7 @@ def _first_bad(mask: np.ndarray) -> tuple | None:
     return tuple(int(v) for v in bad[0]) if bad.size else None
 
 
-def fbct_property_suite(fn, threads: int | None = None) -> PropertySuiteReport:
+def fbct_property_suite(fn) -> PropertySuiteReport:
     """Check the standard structural identities of the char-2 table.
 
     The last identity is checked as FBCT(a,b) = FBCT(a,a+b), which holds
@@ -441,7 +426,7 @@ def fbct_property_suite(fn, threads: int | None = None) -> PropertySuiteReport:
     if field.p != 2:
         raise ValueError("the property suite requires characteristic 2")
     q = field.order
-    m = full_table(fn, "fbct", threads=threads)
+    m = full_table(fn, "fbct")
     x = np.arange(q)
     shifted = m[x[:, None], x[:, None] ^ x[None, :]]  # FBCT(a, a^b)
 

@@ -147,11 +147,10 @@ def catalog_keys() -> list[str]:
     return [row.key for row in CATALOG]
 
 
-def run_survey(keys=None, *, cache_path: str | None = None,
-               eval_budget: int = EVAL_BUDGET) -> list[SurveyResult]:
+def run_survey(keys=None, *, cache_path: str | None = None) -> list[SurveyResult]:
     """Brute-force the selected catalog rows (all by default).
 
-    Rows whose full scan would exceed eval_budget point evaluations are
+    Rows whose full scan would exceed EVAL_BUDGET point evaluations are
     returned as "skipped: scale" without being computed.
     """
     if keys is None:
@@ -166,7 +165,7 @@ def run_survey(keys=None, *, cache_path: str | None = None,
     out = []
     for row in rows:
         q = row.order
-        if q * q * q > eval_budget:
+        if q * q * q > EVAL_BUDGET:
             out.append(SurveyResult(row, None, "skipped: scale"))
             continue
         field = canonical_field(row.p, row.n, cache_path)

@@ -108,6 +108,15 @@ def test_table_explicit_modulus(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("argv", [["table", "fbct", "2", "3", "3"],
+                                  ["verify", "3.1", "2", "3"]])
+def test_malformed_modulus_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--modulus", "1,x,1,1")
+    assert code == 2
+    assert out == ""
+    assert "malformed modulus" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

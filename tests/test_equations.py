@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdspec.gf import Field, FieldElement
 from zdspec.equations import (
@@ -17,6 +18,7 @@ from zdspec.equations import (
     classify_cubic,
     classify_quartic,
     extension_embedding,
+    gf2_eliminate,
     quadratic_batch,
     solve_quadratic_char2,
     solve_trinomial,
@@ -180,6 +182,32 @@ def test_trinomial_three_way_agreement_and_coset_structure():
             base = next(iter(s1))
             for delta in f.subfield(eq.d).elements():
                 assert base + delta in s1
+
+
+@st.composite
+def gf2_systems(draw):
+    n = draw(st.integers(1, 6))
+    cols = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n))
+    return cols, draw(st.integers(0, 2 ** n - 1)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_systems())
+def test_gf2_eliminate_matches_enumeration(system):
+    cols, rhs, n = system
+    solutions = 0
+    for y in range(2 ** n):
+        image = 0
+        for j in range(n):
+            if (y >> j) & 1:
+                image ^= cols[j]
+        solutions += image == rhs
+    pivots = gf2_eliminate(cols, rhs, n)
+    if solutions == 0:
+        assert pivots is None
+    else:
+        assert pivots is not None
+        assert solutions == 2 ** (n - len(pivots))
 
 
 def test_trinomial_validation():

@@ -1,6 +1,8 @@
 """Field construction, canonical ordering, and arithmetic laws."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -325,6 +327,21 @@ def test_tables_match_object_ops(p, n):
     for i in range(q):
         e = f.element(i)
         assert int(vals[i]) == (e * e + 1).idx
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
+def test_field_with_tables_is_freed_without_cyclic_gc(p, n):
+    gc.disable()
+    try:
+        f = Field(p, n)
+        f.tables.pow_map(3)
+        f.tables.trace1
+        assert f.one + f.zero == f.one
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_artin_schreier_table():
