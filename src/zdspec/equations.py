@@ -9,7 +9,8 @@ Covers three families used by the closed-form predictors:
   GF(2)-linear-system solver,
 * quartic x^4 + a2 x^2 + a1 x + a0 factor-shape classification through
   the companion cubic y^3 + a2 y + a1 and trace conditions, with a
-  brute-force shape oracle that counts roots in extension fields.
+  brute-force shape oracle that counts roots in the degree-2 and
+  degree-3 extensions as Frobenius gcd degrees, without building them.
 
 Every solver returns verified data: trinomial roots are substituted back
 before being returned, and the quartic classifier cross-checks its shape
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field, FieldElement, find_irreducible
+from .gf import Field, FieldElement, frobenius_gcd_degrees
 
 CUBIC_SHAPES = frozenset({(1, 1, 1), (1, 2), (3,)})
 QUARTIC_SHAPES = frozenset({(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)})
@@ -126,51 +127,10 @@ def brute_roots(field: Field, coeffs) -> frozenset[FieldElement]:
     return frozenset(FieldElement(field, int(i)) for i in np.nonzero(vals == 0)[0])
 
 
-_EXT_CACHE: dict = {}
-
-
-def extension_embedding(field: Field, t: int) -> tuple[Field, np.ndarray]:
-    """GF(p^(nt)) with the canonical modulus, and the embedding table that
-    maps every base-field index to its image index.
-
-    The embedding sends the base generator to the smallest-index root of
-    the base modulus inside the extension, so it is reproducible.
-    """
-    if t == 1:
-        return field, np.asarray(field.tables.indices)
-    key = (field.spec, t)
-    hit = _EXT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ext = Field(field.p, field.n * t,
-                find_irreducible(field.p, field.n * t, max_order=2 ** 63))
-    # modulus coefficients are prime-subfield scalars: index == value
-    vals = ext.tables.eval_poly(list(field.modulus))
-    roots = np.nonzero(vals == 0)[0]
-    if roots.size != field.n:
-        raise RuntimeError("base modulus does not split as expected in the extension")
-    beta = int(roots[0])
-    bpow = [1]
-    for _ in range(field.n - 1):
-        bpow.append(ext._mul_idx(bpow[-1], beta))
-    emb = np.zeros(field.order, dtype=np.int64)
-    for i in range(field.order):
-        acc = 0
-        rem = i
-        for j in range(field.n):
-            dig = rem % field.p
-            rem //= field.p
-            if dig:
-                acc = ext._add_idx(acc, ext._mul_idx(dig, bpow[j]))
-        emb[i] = acc
-    emb.setflags(write=False)
-    _EXT_CACHE[key] = (ext, emb)
-    return ext, emb
-
-
 def brute_factor_shape(field: Field, coeffs) -> tuple[int, ...]:
     """Factor shape of a monic separable cubic or quartic, decided purely by
-    root counts in the base field and its quadratic and cubic extensions."""
+    root counts in the base field and its quadratic and cubic extensions,
+    read as deg gcd(f, x^(q^k) - x) from gf.frobenius_gcd_degrees."""
     _require_char2(field)
     elems = [field.element(c) if not isinstance(c, FieldElement) else c for c in coeffs]
     deg = len(elems) - 1
@@ -182,12 +142,7 @@ def brute_factor_shape(field: Field, coeffs) -> tuple[int, ...]:
         raise ValueError("quartic oracle needs a0 a1 != 0 (separability)")
     if deg == 3 and elems[0].is_zero:
         raise ValueError("cubic oracle needs a nonzero constant term (separability)")
-    counts = []
-    for t in (1, 2, 3):
-        ext, emb = extension_embedding(field, t)
-        vals = ext.tables.eval_poly([int(emb[e.idx]) for e in elems])
-        counts.append(int(np.count_nonzero(vals == 0)))
-    sig = tuple(counts)
+    sig = tuple(frobenius_gcd_degrees(elems, 3))
     if deg == 3:
         table = {(3, 3, 3): (1, 1, 1), (1, 3, 1): (1, 2), (0, 0, 3): (3,)}
     else:

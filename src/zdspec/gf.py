@@ -54,24 +54,13 @@ def _index(coeffs: Sequence[int], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over Z_p (little-endian coefficient lists)
+# dense polynomials (little-endian coefficient lists) over Z_p and over a Field
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
+def _ptrim(c: list) -> list:
+    while c and not c[-1]:
         c.pop()
     return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -88,31 +77,60 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _ptrim(a)
 
 
-def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), m, p)
+def _frem(a: Sequence["FieldElement"], m: Sequence["FieldElement"]) -> list["FieldElement"]:
+    """a mod m over a Field; m must be monic."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        lead = a.pop()
+        if lead:
+            shift = len(a) - dm
+            for i in range(dm):
+                a[shift + i] = a[shift + i] - lead * m[i]
+    return _ptrim(a)
 
 
-def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return result
+def _fmulmod(a: Sequence["FieldElement"], b: Sequence["FieldElement"],
+             m: Sequence["FieldElement"]) -> list["FieldElement"]:
+    """a * b mod the monic m over a Field."""
+    if not a or not b:
+        return []
+    out = [m[-1].field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+    return _frem(out, m)
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        monic_b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, monic_b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
+def frobenius_gcd_degrees(f: Sequence["FieldElement"], kmax: int) -> list[int]:
+    """deg gcd(f, x^(Q^k) - x) for k = 1..kmax, f monic over a field of order Q.
+
+    The k-th value is the number of distinct roots of f in the degree-k
+    extension (distinct-degree factorization, Cantor-Zassenhaus 1981),
+    found with the coefficients' own field arithmetic: no extension is built.
+    """
+    field = f[-1].field
+    zero, one = field.zero, field.one
+    t = _frem([zero, one], f)
+    out = []
+    for _ in range(kmax):
+        power, e = [one], field.order  # t <- t^Q mod f
+        while e:
+            if e & 1:
+                power = _fmulmod(power, t, f)
+            t = _fmulmod(t, t, f)
+            e >>= 1
+        t = power
+        b = t + [zero] * (2 - len(t))
+        b[1] = b[1] - one
+        a, b = list(f), _ptrim(b)
+        while b:  # Euclid on monic divisors
+            inv = b[-1].inverse()
+            b = [c * inv for c in b]
+            a, b = b, _frem(a, b)
+        out.append(len(a) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +156,19 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
 
 def irreducibility_oracle(modulus: Sequence[int], p: int) -> bool:
-    """Independent irreducibility check via gcd(f, x^(p^i) - x).
+    """Independent irreducibility check via gcd(f, x^(p^k) - x) over Field(p, 1).
 
-    A monic f of degree n is irreducible exactly when the gcd stays
-    trivial for every 1 <= i < n: a factor of degree d < n would divide
-    x^(p^d) - x and be detected at i = d.
+    A monic f of degree n is reducible exactly when it has an irreducible
+    factor of some degree d <= n/2, which divides x^(p^d) - x; so f is
+    irreducible when frobenius_gcd_degrees finds no gcd of positive
+    degree for k <= n/2.
     """
     m = list(modulus)
     n = len(m) - 1
     if n < 1 or m[n] != 1:
         return False
-    if n == 1:
-        return True
-    t = [0, 1]
-    for _ in range(1, n):
-        t = _ppowmod(t, p, m, p)
-        diff = list(t) + [0] * (2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        diff = _ptrim(diff)
-        if not diff:
-            return False  # x^(p^i) == x mod f, so f splits into small factors
-        g = _pgcd(diff, m, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    zp = Field(p, 1)
+    return not any(frobenius_gcd_degrees([zp.scalar(c) for c in m], n // 2))
 
 
 def find_irreducible(p: int, n: int, max_order: int = DESK_SCALE_BOUND) -> tuple[int, ...]:
@@ -440,11 +447,7 @@ class Field:
         return -1
 
     def subfield(self, m: int) -> "SubfieldMap":
-        sub = self._subfields.get(m)
-        if sub is None:
-            sub = SubfieldMap(self, m)
-            self._subfields[m] = sub
-        return sub
+        return SubfieldMap(self, m)
 
     @property
     def tables(self):
@@ -548,8 +551,6 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return other.field.spec == self.field.spec and other.idx == self.idx
-        if isinstance(other, int):
-            return self.idx == other % self.field.spec.p
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -580,14 +581,13 @@ class SubfieldMap:
     An element lies in the subfield exactly when Frobenius^m fixes it.
     """
 
-    __slots__ = ("field", "m", "_indices")
+    __slots__ = ("field", "m")
 
     def __init__(self, field: Field, m: int):
         if m < 1 or field.spec.n % m:
             raise ValueError(f"{m} does not divide {field.spec.n}")
         self.field = field
         self.m = m
-        self._indices = None
 
     @property
     def order(self) -> int:
@@ -600,13 +600,15 @@ class SubfieldMap:
     __contains__ = contains
 
     def indices(self) -> tuple[int, ...]:
-        if self._indices is None:
-            f = self.field
+        # cached on the field as plain indices: a cached map would be a cycle
+        f = self.field
+        found = f._subfields.get(self.m)
+        if found is None:
             found = tuple(i for i in range(f.order) if f._frob_idx(i, self.m) == i)
             if len(found) != self.order:
                 raise RuntimeError("subfield scan found the wrong number of elements")
-            self._indices = found
-        return self._indices
+            f._subfields[self.m] = found
+        return found
 
     def elements(self) -> list[FieldElement]:
         return [FieldElement(self.field, i) for i in self.indices()]

@@ -17,7 +17,6 @@ from zdspec.equations import (
     brute_roots,
     classify_cubic,
     classify_quartic,
-    extension_embedding,
     gf2_eliminate,
     quadratic_batch,
     solve_quadratic_char2,
@@ -275,6 +274,29 @@ def test_quartic_sampled_f32():
         assert len(roots) == shape.count(1)
 
 
+@pytest.mark.parametrize("n", [7, 10])
+def test_quartic_shape_oracle_beyond_desk_scale_extensions(n):
+    """The cubic extension GF(2^(3n)) is past DESK_SCALE_BOUND here; the
+    oracle never builds it."""
+    f = Field(2, n)
+    rng = random.Random(700 + n)
+    for _ in range(60):
+        eq = QuarticEq(f.element(rng.randrange(f.order)),
+                       f.element(rng.randrange(1, f.order)),
+                       f.element(rng.randrange(1, f.order)))
+        shape, _ = classify_quartic(eq)
+        assert shape == brute_factor_shape(f, [eq.a0, eq.a1, eq.a2, f.zero, f.one])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cubic_exhaustive_vs_shape_oracle(n):
+    f = Field(2, n)
+    for a2 in range(f.order):
+        for a1 in range(1, f.order):
+            shape, _ = classify_cubic(f.element(a2), f.element(a1))
+            assert shape == brute_factor_shape(f, [a1, a2, 0, 1])
+
+
 def test_quartic_single_root_is_one_three():
     """A quartic with exactly one root in the base field must be (1,3)."""
     f = Field(2, 4)
@@ -319,18 +341,3 @@ def test_cubic_trace_parity_is_even():
 def test_shapes_are_the_documented_partitions():
     assert CUBIC_SHAPES == {(1, 1, 1), (1, 2), (3,)}
     assert QUARTIC_SHAPES == {(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)}
-
-
-def test_extension_embedding_is_a_homomorphism():
-    f = Field(2, 4)
-    ext, emb = extension_embedding(f, 2)
-    assert ext.order == f.order ** 2
-    rng = random.Random(8)
-    for _ in range(100):
-        a = f.element(rng.randrange(f.order))
-        b = f.element(rng.randrange(f.order))
-        assert int(emb[(a + b).idx]) == ext._add_idx(int(emb[a.idx]), int(emb[b.idx]))
-        assert int(emb[(a * b).idx]) == ext._mul_idx(int(emb[a.idx]), int(emb[b.idx]))
-    # injective, fixes prime subfield
-    assert len(set(int(v) for v in emb)) == f.order
-    assert int(emb[0]) == 0 and int(emb[1]) == 1

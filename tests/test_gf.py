@@ -14,6 +14,7 @@ from zdspec.gf import (
     append_field_cache,
     cache_line,
     find_irreducible,
+    frobenius_gcd_degrees,
     irreducibility_oracle,
     is_irreducible,
     read_field_cache,
@@ -74,6 +75,21 @@ def test_two_irreducibility_tests_agree():
         assert is_irreducible(coeffs, p) == irreducibility_oracle(coeffs, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_gcd_degrees_count_extension_roots(p):
+    """Over Z_p, deg gcd(f, x^(p^k) - x) is the number of distinct roots of
+    f in GF(p^k), found here by evaluating f on every element of that field
+    (coefficients in Z_p have index == value in every extension)."""
+    zp = Field(p, 1)
+    exts = [Field(p, k) for k in range(1, 5)]
+    rng = random.Random(40 + p)
+    for _ in range(40):
+        deg = rng.randrange(1, 7)
+        coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
+        counts = [int((ext.tables.eval_poly(coeffs) == 0).sum()) for ext in exts]
+        assert frobenius_gcd_degrees([zp.scalar(c) for c in coeffs], 4) == counts
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 # ---------------------------------------------------------------------------
@@ -106,6 +122,16 @@ def test_equal_specs_define_identical_arithmetic():
     assert f1 != f3
     with pytest.raises(ValueError):
         a + f3.element(3)
+
+
+def test_elements_equal_only_elements_of_the_same_field():
+    f1, f2 = Field(2, 3), Field(2, 3)
+    assert f1.one != 3 and f1.one != 1 and f1.zero != 0
+    assert f1.element(5) == f2.element(5)
+    assert hash(f1.element(5)) == hash(f2.element(5))
+    assert hash(f1.one) == hash(f2.element(1))
+    assert f1.element(5) != Field(2, 3, (1, 0, 1, 1)).element(5)
+    assert (f1.one + 1).is_zero  # arithmetic still reads ints as scalars
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +362,7 @@ def test_field_with_tables_is_freed_without_cyclic_gc(p, n):
         f = Field(p, n)
         f.tables.pow_map(3)
         f.tables.trace1
+        f.subfield(1).indices()
         assert f.one + f.zero == f.one
         ref = weakref.ref(f)
         del f

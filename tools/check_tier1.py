@@ -7,7 +7,9 @@ Runs ``python -m pytest -q --continue-on-collection-errors`` from the
 repository root with ``src`` on PYTHONPATH and a JUnit XML report, then
 reads the report.  Exits 0 when the set of failing tests (failures and
 errors) is exactly EXPECTED_FAILURES, 1 otherwise, printing what differs.
-Nothing is deselected, skipped or marked xfail.
+It also prints the suite's total time and its SLOWEST slowest tests (from
+the report's ``time`` attributes).  Nothing is deselected, skipped or
+marked xfail.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ EXPECTED_FAILURES = frozenset({
     "tests.test_acceptance::test_criterion_10_survey_rows[gold-n5k1-2]",
 })
 
+#: How many of the slowest tests to print.
+SLOWEST = 5
+
 
 def run_suite(report: Path) -> int:
     env = dict(os.environ)
@@ -39,16 +44,19 @@ def run_suite(report: Path) -> int:
     return subprocess.call(cmd, cwd=ROOT, env=env)
 
 
-def outcomes(report: Path) -> tuple[set[str], int]:
-    """(failing test ids, number of test cases) from a JUnit XML report."""
+def outcomes(report: Path) -> tuple[set[str], dict[str, float], float]:
+    """(failing test ids, seconds per test id, suite seconds) from a JUnit
+    XML report."""
+    root = ET.parse(report).getroot()
     failing = set()
-    cases = 0
-    for case in ET.parse(report).getroot().iter("testcase"):
-        cases += 1
+    times = {}
+    for case in root.iter("testcase"):
         test_id = f"{case.get('classname')}::{case.get('name')}"
+        times[test_id] = float(case.get("time", 0))
         if case.find("failure") is not None or case.find("error") is not None:
             failing.add(test_id)
-    return failing, cases
+    total = sum(float(suite.get("time", 0)) for suite in root.iter("testsuite"))
+    return failing, times, total
 
 
 def main() -> int:
@@ -58,15 +66,18 @@ def main() -> int:
         if not report.exists():
             print(f"check_tier1: pytest exited {code} without a report")
             return 1
-        failing, cases = outcomes(report)
+        failing, times, total = outcomes(report)
     unexpected = sorted(failing - EXPECTED_FAILURES)
     missing = sorted(EXPECTED_FAILURES - failing)
     for test_id in unexpected:
         print(f"check_tier1: unexpected failure: {test_id}")
     for test_id in missing:
         print(f"check_tier1: expected failure did not fail: {test_id}")
+    print(f"check_tier1: suite time {total:.1f} s; slowest tests:")
+    for test_id in sorted(times, key=times.get, reverse=True)[:SLOWEST]:
+        print(f"  {times[test_id]:7.2f} s  {test_id}")
     ok = not unexpected and not missing
-    print(f"check_tier1: {cases} tests, {len(failing)} failing, "
+    print(f"check_tier1: {len(times)} tests, {len(failing)} failing, "
           f"{'as documented' if ok else 'NOT as documented'}")
     return 0 if ok else 1
 
