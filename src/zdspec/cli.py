@@ -140,11 +140,8 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "csv") -> None:
     sub.add_argument("--format", choices=("csv", "json"), default=default_fmt,
                      dest="fmt", help="output format (default %(default)s)")
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
-    sub.add_argument("--seed", type=int, help="seed for sampled verification")
     sub.add_argument("--threads", type=int, metavar="K",
                      help="accepted for compatibility and ignored")
-    sub.add_argument("--force", action="store_true",
-                     help="run computations above the evaluation budget")
     sub.add_argument("--cache", metavar="PATH",
                      help="field cache file (overrides ZDSPEC_CACHE)")
 
@@ -168,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("n", type=int)
     t.add_argument("d", type=int)
     t.add_argument("--modulus", help="explicit modulus c0,c1,...,cn")
+    t.add_argument("--force", action="store_true",
+                   help="run computations above the evaluation budget")
     _add_common(t)
 
     v = subs.add_parser("verify", help="entrywise predictor vs brute force")
@@ -177,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("n", type=int)
     v.add_argument("--sample", type=int, metavar="N",
                    help="force seeded sampling of N pairs")
+    v.add_argument("--seed", type=int, help="seed for sampled verification")
     v.add_argument("--modulus", help="explicit modulus c0,c1,...,cn")
+    v.add_argument("--force", action="store_true",
+                   help="run computations above the evaluation budget")
     _add_common(v, default_fmt="json")
 
     s = subs.add_parser("survey", help="re-check cataloged uniformities")

@@ -73,7 +73,7 @@ class PredictorContext:
         return (int(t[self.w1.idx]), int(t[self.w2.idx]), int(t[self.w3.idx]))
 
 
-def _degenerate_char2(field: Field, a: FieldElement, b: FieldElement) -> bool:
+def _degenerate_char2(a: FieldElement, b: FieldElement) -> bool:
     return a.is_zero or b.is_zero or a == b
 
 
@@ -91,7 +91,7 @@ def predict_x7_char2(field: Field, a, b) -> PredictionOutcome:
     if field.p != 2:
         raise ValueError("requires characteristic 2")
     a, b = field.element(a), field.element(b)
-    if _degenerate_char2(field, a, b):
+    if _degenerate_char2(a, b):
         return PredictionOutcome(field.order, "ab(a+b) = 0")
     c = a / b
     t = c * c + c + 1
@@ -148,7 +148,7 @@ def predict_x2m1p3(field: Field, a, b) -> PredictionOutcome:
     if m < 1:
         raise ValueError("needs n >= 2")
     a, b = field.element(a), field.element(b)
-    if _degenerate_char2(field, a, b):
+    if _degenerate_char2(a, b):
         return PredictionOutcome(field.order, "ab(a+b) = 0")
     c = a / b
     count = _second_order_affine_count(field, c, m)
@@ -351,7 +351,7 @@ class VerificationReport:
         return True
 
     def to_dict(self) -> dict:
-        lab = lambda i: spectra.element_label(self.field, i)
+        lab = lambda i: self.field.element(i).label
         return {
             "theorem": self.theorem,
             "field": {"p": self.field.p, "n": self.field.n,
@@ -385,13 +385,16 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
 
     All q^2 pairs are walked when q <= FULL_THRESHOLD and no sample size
     is forced; otherwise `sample` pairs (default DEFAULT_SAMPLE) are
-    drawn uniformly with the recorded seed.  Unpredicted entries are
-    resolved by brute force and listed separately; mismatches and
-    unpredicted entries are sorted by canonical element order.
+    drawn uniformly with the recorded seed; a sample size below 1
+    raises ValueError.  Unpredicted entries are resolved by brute force
+    and listed separately; mismatches and unpredicted entries are sorted
+    by canonical element order.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
         raise ValueError(f"unknown predictor id {theorem!r}; known: {theorem_ids()}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
     notes = spec.check(field)
     d = spec.exponent(field)
     q = field.order

@@ -38,8 +38,7 @@ def _require_char2(field: Field) -> None:
 def _same_field(*elems: FieldElement) -> Field:
     f = elems[0].field
     for e in elems[1:]:
-        if e.field.spec != f.spec:
-            raise ValueError("coefficients belong to different fields")
+        f.index(e)
     return f
 
 
@@ -74,8 +73,7 @@ class TrinomialEq:
         _require_char2(self.field)
         if not 0 < self.k < self.field.n:
             raise ValueError(f"k must satisfy 0 < k < {self.field.n}, got {self.k}")
-        if self.B.field.spec != self.field.spec:
-            raise ValueError("B belongs to a different field")
+        object.__setattr__(self, "B", self.field.element(self.B))
 
     @property
     def d(self) -> int:
@@ -112,18 +110,10 @@ class QuarticEq:
 def brute_roots(field: Field, coeffs) -> frozenset[FieldElement]:
     """Roots found by evaluating the polynomial at every field element.
 
-    coeffs lists the coefficient of x^i at position i, as elements or
-    canonical indices.  The zero polynomial vanishes everywhere.
+    coeffs lists the coefficient of x^i at position i, each read with
+    field.index.  The zero polynomial vanishes everywhere.
     """
-    idxs = []
-    for c in coeffs:
-        if isinstance(c, FieldElement):
-            if c.field.spec != field.spec:
-                raise ValueError("coefficient belongs to a different field")
-            idxs.append(c.idx)
-        else:
-            idxs.append(int(c))
-    vals = field.tables.eval_poly(idxs)
+    vals = field.tables.eval_poly([field.index(c) for c in coeffs])
     return frozenset(FieldElement(field, int(i)) for i in np.nonzero(vals == 0)[0])
 
 
@@ -132,7 +122,7 @@ def brute_factor_shape(field: Field, coeffs) -> tuple[int, ...]:
     root counts in the base field and its quadratic and cubic extensions,
     read as deg gcd(f, x^(q^k) - x) from gf.frobenius_gcd_degrees."""
     _require_char2(field)
-    elems = [field.element(c) if not isinstance(c, FieldElement) else c for c in coeffs]
+    elems = [field.element(c) for c in coeffs]
     deg = len(elems) - 1
     if deg not in (3, 4):
         raise ValueError("shape oracle handles cubics and quartics only")
@@ -161,19 +151,20 @@ def brute_factor_shape(field: Field, coeffs) -> tuple[int, ...]:
 def quadratic_batch(field: Field, a, b, c_indices=None):
     """Root data of a x^2 + b x + c for a vector of c values at once.
 
-    Returns (counts, root1, root2) arrays indexed like c_indices (all c
-    in canonical order when omitted); absent roots hold the sentinel q.
+    a and b are read with field.index, c_indices with
+    field.tables.index_array.  Returns (counts, root1, root2) arrays
+    indexed like c_indices (all c in canonical order when omitted);
+    absent roots hold the sentinel q.
     This is the kernel behind solve_quadratic_char2, exposed so that
     exhaustive sweeps stay vectorized.
     """
     _require_char2(field)
     t = field.tables
     q = field.order
-    ia = a.idx if isinstance(a, FieldElement) else int(a)
-    ib = b.idx if isinstance(b, FieldElement) else int(b)
+    ia, ib = field.index(a), field.index(b)
     if ia == 0:
         raise ValueError("leading coefficient must be nonzero")
-    C = np.asarray(t.indices if c_indices is None else c_indices)
+    C = t.indices if c_indices is None else t.index_array(c_indices)
     counts = np.zeros(C.shape, dtype=np.int64)
     r1 = np.full(C.shape, q, dtype=np.int64)
     r2 = np.full(C.shape, q, dtype=np.int64)

@@ -44,13 +44,24 @@ class FieldTables:
         self.n = field.n
         self.q = field.order
         self._pow_cache: dict[int, np.ndarray] = {}
-        self._trace_cache: dict[int, np.ndarray] = {}
 
     # -- additive layer ------------------------------------------------------
 
     @cached_property
     def indices(self) -> np.ndarray:
         return _frozen(np.arange(self.q, dtype=np.int64))
+
+    def index_array(self, values) -> np.ndarray:
+        """values as an int64 array of canonical indices.  Raises TypeError
+        unless the values are integers and ValueError unless each lies in
+        [0, q); the array counterpart of Field.index."""
+        arr = np.asarray(values)
+        if arr.size:
+            if arr.dtype.kind not in "iu":
+                raise TypeError(f"expected integer indices, got dtype {arr.dtype}")
+            if arr.min() < 0 or arr.max() >= self.q:
+                raise ValueError(f"indices out of range [0, {self.q})")
+        return arr.astype(np.int64, copy=False)
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -145,27 +156,15 @@ class FieldTables:
             return self.indices
         return self.pow_map(self.p ** k)
 
-    def trace_map(self, m: int) -> np.ndarray:
-        """Relative trace onto GF(p^m), as element indices."""
-        if m < 1 or self.n % m:
-            raise ValueError(f"{m} does not divide {self.n}")
-        cached = self._trace_cache.get(m)
-        if cached is not None:
-            return cached
-        frob = self.frob_map(m)
-        acc = self.indices.copy()
-        cur = self.indices
-        for _ in range(self.n // m - 1):
-            cur = frob[cur]
-            acc = self.add_vec(acc, cur)
-        acc = np.asarray(acc)
-        self._trace_cache[m] = _frozen(acc)
-        return acc
-
     @cached_property
     def trace1(self) -> np.ndarray:
         """Absolute trace values in [0, p); scalar indices equal values."""
-        return self.trace_map(1)
+        frob = self.frob_map(1)
+        acc = cur = self.indices
+        for _ in range(self.n - 1):
+            cur = frob[cur]
+            acc = self.add_vec(acc, cur)
+        return _frozen(acc)
 
     @cached_property
     def sqrt_map(self) -> np.ndarray:

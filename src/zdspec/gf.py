@@ -16,6 +16,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -303,17 +304,28 @@ class Field:
             raise ValueError("prime field has no polynomial generator x")
         return FieldElement(self, self.p)
 
-    def element(self, value) -> "FieldElement":
-        """Element from a canonical index, a coefficient sequence, or another
-        element of the same field.  Integers are indices, not scalars."""
+    def index(self, value) -> int:
+        """Canonical index of an element of this field (same spec) or of an
+        integer index in [0, q), read with operator.index so that numpy
+        integers work too.  A float raises TypeError; an index out of range
+        or an element of another field raises ValueError."""
         if isinstance(value, FieldElement):
-            if value.field.spec != self.spec:
-                raise ValueError("element belongs to a different field")
-            return value if value.field is self else FieldElement(self, value.idx)
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"index {value} out of range for {self!r}")
-            return FieldElement(self, value)
+            if value.field is not self and value.field.spec != self.spec:
+                raise ValueError(f"element of {value.field!r} given for {self!r}")
+            return value.idx
+        i = operator.index(value)
+        if not 0 <= i < self.order:
+            raise ValueError(f"index {i} out of range for {self!r}")
+        return i
+
+    def element(self, value) -> "FieldElement":
+        """Element from a coefficient list or tuple (constant term first) or
+        from anything Field.index accepts, so an integer is an index, not a
+        scalar.  An element already in this field is returned as is."""
+        if isinstance(value, FieldElement) and value.field is self:
+            return value
+        if not isinstance(value, (list, tuple)):
+            return FieldElement(self, self.index(value))
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.n:
             raise ValueError(f"coefficient vector longer than degree {self.n}")

@@ -63,36 +63,21 @@ class LookupFunction:
     __slots__ = ("field", "_values")
 
     def __init__(self, field: Field, values):
-        vals = np.asarray(list(values), dtype=np.int64)
+        vals = field.tables.index_array(list(values))
         if vals.shape != (field.order,):
             raise ValueError(f"value table must have length {field.order}")
-        if vals.min() < 0 or vals.max() >= field.order:
-            raise ValueError("value table entries out of range")
         vals.setflags(write=False)
         self.field = field
         self._values = vals
 
     def __call__(self, e: FieldElement) -> FieldElement:
-        return self.field.element(int(self._values[self.field.element(e).idx]))
+        return FieldElement(self.field, int(self._values[self.field.index(e)]))
 
     def values(self) -> np.ndarray:
         return self._values
 
     def __repr__(self) -> str:
         return f"lookup function over {self.field!r}"
-
-
-def _as_idx(field: Field, v) -> int:
-    if isinstance(v, FieldElement):
-        if v.field.spec != field.spec:
-            raise ValueError("element belongs to a different field")
-        return v.idx
-    if isinstance(v, (int, np.integer)):
-        i = int(v)
-        if not 0 <= i < field.order:
-            raise ValueError(f"index {i} out of range for {field!r}")
-        return i
-    raise TypeError(f"expected a field element or index, got {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +220,7 @@ def make_sozd_counter(fn) -> Callable[[int, int], int]:
 
 def ddt_entry(fn, a, b) -> int:
     """|{x : F(x+a) - F(x) = b}| by full enumeration."""
-    ia, ib = _as_idx(fn.field, a), _as_idx(fn.field, b)
+    ia, ib = fn.field.index(a), fn.field.index(b)
     return int(_ddt_row(fn, fn.field.tables, ia)[ib])
 
 
@@ -253,7 +238,7 @@ def differential_uniformity(fn) -> int:
 
 def sozd_entry(fn, a, b) -> int:
     """|{x : F(x+a+b) - F(x+b) - F(x+a) + F(x) = 0}| by full enumeration."""
-    ia, ib = _as_idx(fn.field, a), _as_idx(fn.field, b)
+    ia, ib = fn.field.index(a), fn.field.index(b)
     return _PairCounter(fn).count(ia, ib)
 
 
@@ -453,16 +438,12 @@ def fbct_property_suite(fn) -> PropertySuiteReport:
 # emission
 # ---------------------------------------------------------------------------
 
-def element_label(field: Field, idx: int) -> str:
-    return FieldElement(field, idx).label
-
-
 def table_to_csv(matrix: np.ndarray, field: Field) -> str:
     """CSV with a header row of element labels; rows carry their label too."""
     q = field.order
     if matrix.shape != (q, q):
         raise ValueError("matrix shape does not match the field order")
-    labels = [element_label(field, i) for i in range(q)]
+    labels = [field.element(i).label for i in range(q)]
     lines = ["a\\b," + ",".join(labels)]
     for label, row in zip(labels, matrix):
         lines.append(label + "," + ",".join(map(str, row.tolist())))
@@ -473,7 +454,7 @@ def table_to_json(matrix: np.ndarray, field: Field, which: str, d: int | None = 
     payload = {
         "table": which,
         "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
-        "labels": [element_label(field, i) for i in range(field.order)],
+        "labels": [field.element(i).label for i in range(field.order)],
         "rows": matrix.tolist(),
     }
     if d is not None:

@@ -171,6 +171,9 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    for size in ("-5", "0"):
+        assert main(["verify", "3.1", "2", "6", "--sample", size]) == 2
+        assert "sample size" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

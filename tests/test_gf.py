@@ -353,6 +353,10 @@ def test_tables_match_object_ops(p, n):
     for i in range(q):
         e = f.element(i)
         assert int(vals[i]) == (e * e + 1).idx
+    if p != 2:
+        qc = t.quadchar
+        for i in range(q):
+            assert int(qc[i]) == f.quadratic_character(f.element(i))
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])

@@ -15,7 +15,6 @@ from zdspec.spectra import (
     admissible_descriptor,
     ddt_entry,
     differential_uniformity,
-    element_label,
     fbct_entry,
     fbct_property_suite,
     feistel_boomerang_uniformity,
@@ -382,7 +381,7 @@ def test_property_suite_arbitrary_lookup_function():
 
 def test_labels_and_csv_format():
     f = Field(2, 2)
-    assert [element_label(f, i) for i in range(4)] == ["00", "10", "01", "11"]
+    assert [f.element(i).label for i in range(4)] == ["00", "10", "01", "11"]
     fn = PowerFunction(f, 2)
     csv = table_to_csv(full_table(fn, "ddt"), f)
     lines = csv.splitlines()

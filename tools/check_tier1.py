@@ -7,9 +7,10 @@ Runs ``python -m pytest -q --continue-on-collection-errors`` from the
 repository root with ``src`` on PYTHONPATH and a JUnit XML report, then
 reads the report.  Exits 0 when the set of failing tests (failures and
 errors) is exactly EXPECTED_FAILURES, 1 otherwise, printing what differs.
-It also prints the suite's total time and its SLOWEST slowest tests (from
-the report's ``time`` attributes).  Nothing is deselected, skipped or
-marked xfail.
+It also prints the suite's total time, the line count of
+``src/zdspec/*.py`` (as ``wc -l`` counts it) and the SLOWEST slowest tests
+(from the report's ``time`` attributes).  Nothing is deselected, skipped
+or marked xfail.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ def main() -> int:
         print(f"check_tier1: unexpected failure: {test_id}")
     for test_id in missing:
         print(f"check_tier1: expected failure did not fail: {test_id}")
-    print(f"check_tier1: suite time {total:.1f} s; slowest tests:")
+    src_lines = sum(path.read_bytes().count(b"\n")
+                    for path in (ROOT / "src" / "zdspec").glob("*.py"))
+    print(f"check_tier1: suite time {total:.1f} s; src/zdspec/*.py "
+          f"{src_lines} lines; slowest tests:")
     for test_id in sorted(times, key=times.get, reverse=True)[:SLOWEST]:
         print(f"  {times[test_id]:7.2f} s  {test_id}")
     ok = not unexpected and not missing
