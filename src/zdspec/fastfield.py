@@ -4,6 +4,11 @@ Everything here operates on canonical element indices (see gf).  Tables
 are built lazily on first use and cached; a Field owns at most one
 instance, reachable as ``field.tables``.  Cached arrays are marked
 read-only so accidental mutation fails loudly.
+
+The exp/log tables are built by block doubling: multiplying a block of
+known powers by one constant is F_p-linear, so the build is O(q * n^2)
+numpy work in log2(q) steps plus n scalar products per step.  Scalar
+Field arithmetic stays the independent oracle for every table.
 """
 
 from __future__ import annotations
@@ -104,19 +109,36 @@ class FieldTables:
                 return cand
         raise RuntimeError("no multiplicative generator found")
 
+    def _scale_vec(self, a: np.ndarray, h: int) -> np.ndarray:
+        """h * a over an index array a.  Multiplication by a fixed h is
+        F_p-linear on coefficient vectors, so n scalar products h * x^j
+        (the images of the basis) fix it for the whole array."""
+        cols = [self.field._mul_idx(h, self.p ** j) for j in range(self.n)]
+        if self.p == 2:
+            out = np.zeros_like(a)
+            for j, col in enumerate(cols):
+                out ^= ((a >> j) & 1) * col
+            return out
+        return self._recompose(self.digits[a] @ self.digits[cols] % self.p)
+
     @cached_property
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp[i] = g^i and its inverse log (log[0] = -1), built by block
+        doubling: once g^0 .. g^(B-1) are known, the next block is g^B times
+        them, so log2(q) steps of one _scale_vec each."""
         q = self.q
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        exp = np.ones(max(q - 1, 1), dtype=np.int64)
         g = self.generator
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self.field._mul_idx(cur, g)
-        if cur != 1:
+        done = 1
+        while done < q - 1:
+            step = min(done, q - 1 - done)
+            h = self.field._mul_idx(int(exp[done - 1]), g)
+            exp[done:done + step] = self._scale_vec(exp[:step], h)
+            done += step
+        if self.field._mul_idx(int(exp[-1]), g) != 1:
             raise RuntimeError("generator order check failed")
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(len(exp), dtype=np.int64)
         return _frozen(exp), _frozen(log)
 
     def mul_vec(self, a, b) -> np.ndarray:

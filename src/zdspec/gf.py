@@ -319,22 +319,24 @@ class Field:
         return i
 
     def element(self, value) -> "FieldElement":
-        """Element from a coefficient list or tuple (constant term first) or
-        from anything Field.index accepts, so an integer is an index, not a
+        """Element from a coefficient list or tuple (constant term first,
+        each coefficient an integer read mod p with operator.index) or from
+        anything Field.index accepts, so an integer is an index, not a
         scalar.  An element already in this field is returned as is."""
         if isinstance(value, FieldElement) and value.field is self:
             return value
         if not isinstance(value, (list, tuple)):
             return FieldElement(self, self.index(value))
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = [operator.index(c) % self.p for c in value]
         if len(coeffs) > self.n:
             raise ValueError(f"coefficient vector longer than degree {self.n}")
         coeffs += [0] * (self.n - len(coeffs))
         return FieldElement(self, _index(coeffs, self.p))
 
     def scalar(self, k: int) -> "FieldElement":
-        """The prime-subfield constant k mod p."""
-        return FieldElement(self, k % self.p)
+        """The prime-subfield constant k mod p; k is read with
+        operator.index, so a float raises TypeError."""
+        return FieldElement(self, operator.index(k) % self.p)
 
     def elements(self) -> list["FieldElement"]:
         """All p^n elements in canonical index order (zero first)."""

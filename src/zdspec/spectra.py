@@ -438,25 +438,41 @@ def fbct_property_suite(fn) -> PropertySuiteReport:
 # emission
 # ---------------------------------------------------------------------------
 
+def _entry_strings(matrix: np.ndarray, field: Field) -> list[list[str]]:
+    """The q x q entries as rows of decimal strings.  Entries are
+    non-negative counts, so str() runs once per value in 0..max, not once
+    per entry."""
+    if matrix.shape != (field.order, field.order):
+        raise ValueError("matrix shape does not match the field order")
+    if matrix.dtype.kind not in "iu" or matrix.min() < 0:
+        raise ValueError("table entries must be non-negative integer counts")
+    lookup = np.array([str(v) for v in range(int(matrix.max()) + 1)], dtype=object)
+    return lookup[matrix].tolist()
+
+
 def table_to_csv(matrix: np.ndarray, field: Field) -> str:
     """CSV with a header row of element labels; rows carry their label too."""
-    q = field.order
-    if matrix.shape != (q, q):
-        raise ValueError("matrix shape does not match the field order")
-    labels = [field.element(i).label for i in range(q)]
+    labels = [field.element(i).label for i in range(field.order)]
     lines = ["a\\b," + ",".join(labels)]
-    for label, row in zip(labels, matrix):
-        lines.append(label + "," + ",".join(map(str, row.tolist())))
+    for label, row in zip(labels, _entry_strings(matrix, field)):
+        lines.append(label + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(matrix: np.ndarray, field: Field, which: str, d: int | None = None) -> str:
+    """The payload as json.dumps(..., indent=2) writes it.  Only the small
+    fields go through json.dumps; the rows are joined from _entry_strings
+    in its layout (one entry per line, six spaces deep) and spliced in."""
     payload = {
         "table": which,
         "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
         "labels": [field.element(i).label for i in range(field.order)],
-        "rows": matrix.tolist(),
+        "rows": [],
     }
     if d is not None:
         payload["d"] = d
-    return json.dumps(payload, indent=2) + "\n"
+    rows = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]"
+                      for row in _entry_strings(matrix, field))
+    # "rows": [] occurs once: inside a JSON string every quote is escaped
+    skeleton = json.dumps(payload, indent=2)
+    return skeleton.replace('"rows": []', '"rows": [\n' + rows + "\n  ]", 1) + "\n"

@@ -359,6 +359,41 @@ def test_tables_match_object_ops(p, n):
             assert int(qc[i]) == f.quadratic_character(f.element(i))
 
 
+@pytest.mark.parametrize("p,n,modulus", [
+    (2, 1, None), (3, 1, None), (2, 2, None), (2, 5, None), (2, 8, None),
+    (3, 3, None), (3, 5, None), (5, 3, None), (7, 2, None), (11, 1, None),
+    (13, 3, None), (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), (3, 3, (1, 0, 2, 1)),
+])
+def test_explog_is_the_powers_of_the_generator(p, n, modulus):
+    f = Field(p, n, modulus)
+    if modulus is not None:
+        assert f.modulus != find_irreducible(p, n)
+    exp, log = f.tables._explog
+    g = f.tables.generator
+    cur = 1
+    for i in range(f.order - 1):  # g^i by repeated scalar products
+        assert int(exp[i]) == cur
+        cur = f._mul_idx(cur, g)
+    assert cur == 1
+    assert int(log[0]) == -1
+    assert log[exp].tolist() == list(range(f.order - 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
+def test_explog_at_scale_is_a_homomorphism(p, n):
+    import numpy as np
+
+    f = Field(p, n)
+    q = f.order
+    exp, log = f.tables._explog
+    assert np.array_equal(np.sort(exp), np.arange(1, q))
+    assert np.array_equal(log[exp], np.arange(q - 1))
+    rng = random.Random(q)
+    for _ in range(200):
+        i, j = rng.randrange(q - 1), rng.randrange(q - 1)
+        assert int(exp[(i + j) % (q - 1)]) == f._mul_idx(int(exp[i]), int(exp[j]))
+
+
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
 def test_field_with_tables_is_freed_without_cyclic_gc(p, n):
     gc.disable()

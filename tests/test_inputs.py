@@ -63,3 +63,19 @@ def test_element_or_index_argument(entry, case):
         return
     with pytest.raises((ValueError, TypeError)):
         call(f, BAD[case](f))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.scalar(1.5),
+    lambda f: f.element([1.7, 0.2]),
+    lambda f: f.element((1, 0.5)),
+])
+def test_scalar_and_coefficients_reject_floats(call):
+    with pytest.raises(TypeError):
+        call(Field(*CHAR2))
+
+
+def test_scalar_and_coefficients_take_numpy_integers():
+    f = Field(*ODD)
+    assert f.scalar(np.int64(5)) == f.scalar(5)
+    assert f.element([np.int64(2), np.uint8(4)]) == f.element([2, 4])

@@ -401,6 +401,53 @@ def test_table_json_roundtrip():
     assert len(payload["rows"]) == 4
 
 
+def _json_oracle(matrix, field, which, d):
+    payload = {
+        "table": which,
+        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "labels": [field.element(i).label for i in range(field.order)],
+        "rows": matrix.tolist(),
+    }
+    if d is not None:
+        payload["d"] = d
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_oracle(matrix, field):
+    labels = [field.element(i).label for i in range(field.order)]
+    lines = ["a\\b," + ",".join(labels)]
+    for label, row in zip(labels, matrix.tolist()):
+        lines.append(label + "," + ",".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EMIT_CASES = [(p, n, which) for p, n in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)]
+              for which in ("ddt", "sozd", "fbct") if p == 2 or which != "fbct"]
+
+
+@pytest.mark.parametrize("p,n,which", EMIT_CASES)
+def test_emission_matches_per_entry_oracles(p, n, which):
+    f = Field(p, n)
+    d = 7 if p == 2 else 5
+    matrix = full_table(PowerFunction(f, d), which)
+    assert table_to_csv(matrix, f) == _csv_oracle(matrix, f)
+    for dd in (d, None):
+        assert table_to_json(matrix, f, which, dd) == _json_oracle(matrix, f, which, dd)
+
+
+def test_emission_of_lookup_table_and_bad_matrices():
+    f = Field(2, 4)
+    rng = random.Random(4)
+    matrix = full_table(LookupFunction(f, [rng.randrange(16) for _ in range(16)]), "sozd")
+    assert table_to_csv(matrix, f) == _csv_oracle(matrix, f)
+    assert table_to_json(matrix, f, "sozd") == _json_oracle(matrix, f, "sozd", None)
+    for bad in (-1 - matrix, matrix.astype(float), matrix[:-1]):
+        with pytest.raises(ValueError):
+            table_to_csv(bad, f)
+        with pytest.raises(ValueError):
+            table_to_json(bad, f, "sozd")
+
+
 def test_spectrum_summary_json():
     f = Field(3, 2)
     summary = sozd_spectrum(PowerFunction(f, 5))
