@@ -22,7 +22,6 @@ from .spectra import (
     differential_uniformity,
     fbct_entry,
     fbct_property_suite,
-    feistel_boomerang_uniformity,
     full_table,
     sozd_entry,
     sozd_spectrum,
@@ -42,7 +41,6 @@ from .equations import (
 )
 from .closedform import (
     PredictionOutcome,
-    PredictorContext,
     VerificationReport,
     bound_x7_oddp,
     predict_x2m1p3,

@@ -199,8 +199,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.command == "survey" and getattr(args, "list_rows", False):
-        sys.stdout.write("\n".join(survey.catalog_keys()) + "\n")
+    if args.command == "survey" and args.list_rows:
+        _emit("\n".join(survey.catalog_keys()) + "\n", args.out)
         return 0
 
     args.cache = args.cache or os.environ.get("ZDSPEC_CACHE") or None

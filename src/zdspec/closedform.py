@@ -45,34 +45,6 @@ class PredictionOutcome:
         return self.count is None
 
 
-@dataclass(frozen=True)
-class PredictorContext:
-    """The shared normalization behind the char-2 predictors: c = a/b,
-    a1 = c^2 + c, a2 = c^2 + c + 1, and the three trace arguments
-    w_i = a0 z_i^2 / a1^2 for the companion-cubic roots z = 1, c, c+1."""
-
-    c: FieldElement
-    a0: FieldElement
-    a1: FieldElement
-    a2: FieldElement
-    w1: FieldElement
-    w2: FieldElement
-    w3: FieldElement
-
-    @classmethod
-    def from_c(cls, c: FieldElement, a0: FieldElement) -> "PredictorContext":
-        a1 = c * c + c
-        if a1.is_zero:
-            raise ValueError("context needs c outside {0, 1}")
-        s = (a1 * a1).inverse()
-        w1 = a0 * s
-        return cls(c, a0, a1, a1 + 1, w1, w1 * c * c, w1 * (c + 1) * (c + 1))
-
-    def traces(self) -> tuple[int, int, int]:
-        t = self.c.field.tables.trace1
-        return (int(t[self.w1.idx]), int(t[self.w2.idx]), int(t[self.w3.idx]))
-
-
 def _degenerate_char2(a: FieldElement, b: FieldElement) -> bool:
     return a.is_zero or b.is_zero or a == b
 
@@ -98,8 +70,12 @@ def predict_x7_char2(field: Field, a, b) -> PredictionOutcome:
     if t.is_zero:
         # only possible for n even; c is a cube root of unity
         return PredictionOutcome(4, "a/b root of c^2+c+1")
-    ctx = PredictorContext.from_c(c, t * t)
-    if ctx.traces() == (0, 0, 0):
+    # c is outside {0, 1}, so a1 = c^2 + c is invertible; the trace
+    # arguments are w z^2 for the companion-cubic roots z = 1, c, c + 1
+    a1 = c * c + c
+    w = t * t / (a1 * a1)
+    tr = field.tables.trace1
+    if not (tr[w.idx] or tr[(w * c * c).idx] or tr[(w * (c + 1) * (c + 1)).idx]):
         return PredictionOutcome(4, "all three traces vanish")
     return PredictionOutcome(0, "some trace is 1")
 

@@ -181,7 +181,7 @@ def quadratic_batch(field: Field, a, b, c_indices=None):
     x0 = t.mul_vec(y0, ba)
     counts[solvable] = 2
     r1[solvable] = x0
-    r2[solvable] = np.bitwise_xor(x0, ba)
+    r2[solvable] = t.add_vec(x0, ba)
     return counts, r1, r2
 
 

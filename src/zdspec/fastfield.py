@@ -5,6 +5,11 @@ are built lazily on first use and cached; a Field owns at most one
 instance, reachable as ``field.tables``.  Cached arrays are marked
 read-only so accidental mutation fails loudly.
 
+This module owns the index encoding (an element's index is its
+coefficient vector read in base p): add_vec and sub_vec are the one
+vectorized adder of indices, xor for p = 2 and digitwise mod p otherwise,
+so callers never branch on the characteristic to add or subtract.
+
 The exp/log tables are built by block doubling: multiplying a block of
 known powers by one constant is F_p-linear, so the build is O(q * n^2)
 numpy work in log2(q) steps plus n scalar products per step.  Scalar
@@ -82,18 +87,16 @@ class FieldTables:
     def _pw(self) -> np.ndarray:
         return _frozen(self.p ** np.arange(self.n, dtype=np.int64))
 
-    def _recompose(self, dig: np.ndarray) -> np.ndarray:
-        return dig @ self._pw
-
     def add_vec(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._recompose((self.digits[a] + self.digits[b]) % self.p)
+        # take() gathers the digit rows several times faster than digits[a]
+        return (self.digits.take(a, 0) + self.digits.take(b, 0)) % self.p @ self._pw
 
     def sub_vec(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._recompose((self.digits[a] - self.digits[b]) % self.p)
+        return (self.digits.take(a, 0) - self.digits.take(b, 0)) % self.p @ self._pw
 
     # -- multiplicative layer --------------------------------------------------
 
@@ -119,17 +122,20 @@ class FieldTables:
             for j, col in enumerate(cols):
                 out ^= ((a >> j) & 1) * col
             return out
-        return self._recompose(self.digits[a] @ self.digits[cols] % self.p)
+        return self.digits[a] @ self.digits[cols] % self.p @ self._pw
 
     @cached_property
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp[i] = g^i and its inverse log (log[0] = -1), built by block
-        doubling: once g^0 .. g^(B-1) are known, the next block is g^B times
-        them, so log2(q) steps of one _scale_vec each."""
+        """exp[i] = g^i and its inverse log (log[0] = -1).  The first 64
+        powers come from scalar products, cheaper than doubling on tiny
+        fields; the rest by block doubling: once g^0 .. g^(B-1) are known,
+        the next block is g^B times them, one _scale_vec per step."""
         q = self.q
         exp = np.ones(max(q - 1, 1), dtype=np.int64)
         g = self.generator
-        done = 1
+        done = min(q - 1, 64)
+        for i in range(1, done):
+            exp[i] = self.field._mul_idx(int(exp[i - 1]), g)
         while done < q - 1:
             step = min(done, q - 1 - done)
             h = self.field._mul_idx(int(exp[done - 1]), g)

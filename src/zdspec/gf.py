@@ -237,18 +237,11 @@ class Field:
 
     __slots__ = ("spec", "_modbits", "_tables", "_subfields", "__weakref__")
 
-    def __init__(self, p, n: int | None = None, modulus: Sequence[int] | None = None,
+    def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None,
                  *, max_order: int = DESK_SCALE_BOUND):
-        if isinstance(p, FieldSpec):
-            if n is not None or modulus is not None:
-                raise ValueError("pass either a FieldSpec or (p, n[, modulus])")
-            spec = p
-        else:
-            if n is None:
-                raise ValueError("degree n is required")
-            if modulus is None:
-                modulus = find_irreducible(p, n, max_order)
-            spec = FieldSpec(p, n, tuple(int(c) for c in modulus))
+        if modulus is None:
+            modulus = find_irreducible(p, n, max_order)
+        spec = FieldSpec(p, n, modulus)
         if spec.order > max_order:
             raise ValueError(f"field order {spec.p}^{spec.n} exceeds the bound {max_order}")
         self.spec = spec
@@ -662,12 +655,15 @@ def append_field_cache(path: str, spec: FieldSpec) -> bool:
 
     Returns True when a line was written.
     """
+    line = cache_line(spec) + "\n"
     if os.path.exists(path):
-        entries = read_field_cache(path)
-        if (spec.p, spec.n) in entries:
+        if (spec.p, spec.n) in read_field_cache(path):
             return False
+        with open(path, encoding="utf-8") as fh:
+            if fh.read()[-1:] not in ("", "\n"):  # keep the last line apart
+                line = "\n" + line
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(cache_line(spec) + "\n")
+        fh.write(line)
     return True
 
 

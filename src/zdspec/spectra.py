@@ -11,7 +11,9 @@ For a function F on GF(p^n) this module computes, by full enumeration:
 together with the derived uniformities, histogram summaries, a
 structural property check for the char-2 table, and CSV/JSON emission.
 
-Counting one (a, b) entry directly is O(q) for q = p^n.  Whole rows come
+Counting one (a, b) entry directly is O(q) for q = p^n, one formula for
+every p: indices add and subtract only through FieldTables, so nothing
+here branches on the characteristic to do arithmetic.  Whole rows come
 from one kernel: with g = D_aF, the row a of both tables follows from
 the fibers of g, at a cost of sum_v DDT(a, v)^2 pair evaluations.  A
 power map needs only row a = 1, because its counts are invariant under
@@ -86,39 +88,32 @@ class LookupFunction:
 
 class _PairCounter:
     """Counts second-order zero solutions for one (a, b) pair, vectorized
-    over x.  In characteristic 2 the four terms combine by xor; otherwise
-    the signed sum is carried out digitwise mod p.  This is the direct
-    per-entry path, independent of the row kernel below."""
+    over x, as the positions where F(x+a+b) + F(x) = F(x+b) + F(x+a): one
+    formula for every p.  This is the direct per-entry path, independent
+    of the row kernel below."""
 
     def __init__(self, fn):
-        self.field: Field = fn.field
-        self.tables = self.field.tables
+        self.tables = fn.field.tables
         self.values = fn.values()
-        if self.field.p != 2:
-            self.vdigits = self.tables.digits[self.values]
 
     def count(self, ia: int, ib: int) -> int:
-        f = self.field
         t = self.tables
+        v = self.values
         x = t.indices
-        if f.p == 2:
-            v = self.values
-            acc = v[x ^ (ia ^ ib)] ^ v[x ^ ib] ^ v[x ^ ia] ^ v
-            return int(np.count_nonzero(acc == 0))
-        vd = self.vdigits
-        m = (vd[t.add_vec(x, f._add_idx(ia, ib))] - vd[t.add_vec(x, ib)]
-             - vd[t.add_vec(x, ia)] + vd)
-        return int(np.count_nonzero(np.all(m % f.p == 0, axis=1)))
+        lhs = t.add_vec(v[t.add_vec(x, t.add_vec(ia, ib))], v)
+        rhs = t.add_vec(v[t.add_vec(x, ib)], v[t.add_vec(x, ia)])
+        return int(np.count_nonzero(lhs == rhs))
 
 
-def _diff_vec(fn, tables, ia: int) -> np.ndarray:
+def _diff_vec(fn, ia: int) -> np.ndarray:
     """D_aF(x) = F(x+a) - F(x) at every x, as element indices."""
+    tables = fn.field.tables
     values = fn.values()
     return tables.sub_vec(values[tables.add_vec(tables.indices, ia)], values)
 
 
-def _ddt_row(fn, tables, ia: int) -> np.ndarray:
-    return np.bincount(_diff_vec(fn, tables, ia), minlength=fn.field.order)
+def _ddt_row(fn, ia: int) -> np.ndarray:
+    return np.bincount(_diff_vec(fn, ia), minlength=fn.field.order)
 
 
 #: Elements per numpy temporary in the row kernel and the table gather.
@@ -140,13 +135,11 @@ def _fiber_row(fn, ia: int) -> tuple[np.ndarray, np.ndarray]:
         ddt = np.zeros(q, dtype=np.int64)
         ddt[0] = q
         return ddt, np.full(q, q, dtype=np.int64)
-    tables = field.tables
-    g = _diff_vec(fn, tables, ia)
+    g = _diff_vec(fn, ia)
     ddt = np.bincount(g, minlength=q)
     by_value = np.argsort(g, kind="stable")
     sizes = ddt[ddt > 0]
     starts = np.cumsum(sizes) - sizes
-    diff = np.bitwise_xor if field.p == 2 else tables.sub_vec
     row = np.zeros(q, dtype=np.int64)
     for s in np.flatnonzero(np.bincount(sizes)).tolist():
         fibers = by_value[starts[sizes == s][:, None] + np.arange(s)]
@@ -155,7 +148,7 @@ def _fiber_row(fn, ia: int) -> tuple[np.ndarray, np.ndarray]:
         for i in range(0, len(fibers), k):
             ys = fibers[i:i + k]
             for j in range(0, s, c):
-                d = diff(ys[:, None, :], ys[:, j:j + c, None])
+                d = field.tables.sub_vec(ys[:, None, :], ys[:, j:j + c, None])
                 row += np.bincount(d.ravel(), minlength=q)
     return ddt, row
 
@@ -221,7 +214,7 @@ def make_sozd_counter(fn) -> Callable[[int, int], int]:
 def ddt_entry(fn, a, b) -> int:
     """|{x : F(x+a) - F(x) = b}| by full enumeration."""
     ia, ib = fn.field.index(a), fn.field.index(b)
-    return int(_ddt_row(fn, fn.field.tables, ia)[ib])
+    return int(_ddt_row(fn, ia)[ib])
 
 
 def differential_uniformity(fn) -> int:
@@ -232,8 +225,7 @@ def differential_uniformity(fn) -> int:
     if isinstance(fn, PowerFunction):
         # every row a != 0 permutes the columns of row 1
         return int(_power_rows(fn)[0].max())
-    return max(int(_ddt_row(fn, field.tables, ia).max())
-               for ia in range(1, field.order))
+    return max(int(_ddt_row(fn, ia).max()) for ia in range(1, field.order))
 
 
 def sozd_entry(fn, a, b) -> int:
@@ -303,13 +295,6 @@ def sozd_uniformity(fn) -> int:
     return sozd_spectrum(fn).uniformity
 
 
-def feistel_boomerang_uniformity(fn) -> int:
-    """Max FBCT entry over ab(a+b) != 0 (characteristic 2)."""
-    if fn.field.p != 2:
-        raise ValueError("the Feistel boomerang table requires characteristic 2")
-    return sozd_uniformity(fn)
-
-
 # ---------------------------------------------------------------------------
 # full tables
 # ---------------------------------------------------------------------------
@@ -348,8 +333,7 @@ def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
         return _gather_table(field, np.full(q, q, dtype=np.int64), row1, 1)
     out = np.empty((q, q), dtype=np.int64)
     for ia in range(q):
-        out[ia] = (_ddt_row(fn, field.tables, ia) if which == "ddt"
-                   else _fiber_row(fn, ia)[1])
+        out[ia] = _ddt_row(fn, ia) if which == "ddt" else _fiber_row(fn, ia)[1]
     return out
 
 

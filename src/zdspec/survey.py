@@ -52,10 +52,6 @@ class SurveyResult:
     observed: int | None
     status: str  # "match" | "mismatch" | "skipped: scale"
 
-    @property
-    def matched(self) -> bool:
-        return self.status == "match"
-
     def to_dict(self) -> dict:
         r = self.row
         return {"key": r.key, "p": r.p, "n": r.n, "d": r.d,

@@ -211,10 +211,15 @@ def test_survey_unknown_key(capsys):
     assert "unknown survey row" in err
 
 
-def test_survey_list(capsys):
+def test_survey_list(capsys, tmp_path):
     code, out, _ = run(capsys, "survey", "--list")
     assert code == 0
     assert "inv-n6" in out.split()
+    path = tmp_path / "keys.txt"
+    code, printed, _ = run(capsys, "survey", "--list", "--out", str(path))
+    assert code == 0
+    assert printed == ""
+    assert path.read_text() == out
 
 
 # ---------------------------------------------------------------------------

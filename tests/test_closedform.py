@@ -7,7 +7,6 @@ import pytest
 
 from zdspec.gf import Field
 from zdspec.closedform import (
-    PredictorContext,
     bound_x7_oddp,
     predict_x2m1p3,
     predict_x5_oddp,
@@ -169,21 +168,6 @@ def test_x7_trace_case_coherent_with_quartic_classifier():
                 assert shape == (1, 1, 1, 1)
             else:
                 assert shape in QUARTIC_SHAPES - {(1, 1, 1, 1)}
-
-
-def test_predictor_context_fields():
-    f = Field(2, 6)
-    c = f.element(9)
-    a0 = (c * c + c + 1) ** 2
-    ctx = PredictorContext.from_c(c, a0)
-    assert ctx.a1 == c * c + c
-    assert ctx.a2 == ctx.a1 + 1
-    assert ctx.w1 == a0 / (ctx.a1 * ctx.a1)
-    assert ctx.w2 == ctx.w1 * c * c
-    assert ctx.w3 == ctx.w1 * (c + 1) * (c + 1)
-    assert all(b in (0, 1) for b in ctx.traces())
-    with pytest.raises(ValueError):
-        PredictorContext.from_c(f.one, a0)
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,15 @@ def test_field_cache_roundtrip(tmp_path):
     assert cache_line(spec) == "2,3,1,1,0,1"
 
 
+def test_field_cache_append_after_unterminated_line(tmp_path):
+    path = tmp_path / "fields.txt"
+    path.write_text("2,3,1,1,0,1")  # no trailing newline
+    assert append_field_cache(str(path), Field(2, 4).spec)
+    assert path.read_text() == "2,3,1,1,0,1\n2,4,1,1,0,0,1\n"
+    assert read_field_cache(str(path)) == {(2, 3): (1, 1, 0, 1),
+                                           (2, 4): (1, 1, 0, 0, 1)}
+
+
 def test_canonical_field_honors_cache(tmp_path):
     path = str(tmp_path / "fields.txt")
     # pin the non-canonical irreducible cubic for GF(8)
