@@ -6,7 +6,6 @@ from .gf import (
     DESK_SCALE_BOUND,
     Field,
     FieldElement,
-    FieldSpec,
     SubfieldMap,
     canonical_field,
     find_irreducible,

@@ -57,13 +57,13 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
 def _cmd_field(args: argparse.Namespace) -> int:
     field = _build_field(args)
     if args.cache and args.modulus is None:
-        gf.append_field_cache(args.cache, field.spec)
+        gf.append_field_cache(args.cache, field)
     if args.fmt == "json":
         import json
         text = json.dumps({"p": field.p, "n": field.n,
                            "modulus": list(field.modulus)}, indent=2) + "\n"
     else:
-        text = gf.cache_line(field.spec) + "\n"
+        text = gf.cache_line(field) + "\n"
     _emit(text, args.out)
     return 0
 

@@ -122,7 +122,7 @@ class FieldTables:
             for j, col in enumerate(cols):
                 out ^= ((a >> j) & 1) * col
             return out
-        return self.digits[a] @ self.digits[cols] % self.p @ self._pw
+        return self.digits.take(a, 0) @ self.digits.take(cols, 0) % self.p @ self._pw
 
     @cached_property
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,16 +9,14 @@ for k < p index k is the prime-subfield constant k.  For p = 2 the index
 is the familiar packed-bit encoding and arithmetic works directly on
 machine integers.
 
-FieldSpec, Field and FieldElement never mutate after construction and
-every operation is a pure function, so they can be shared freely across
-threads.
+Field and FieldElement never mutate after construction and every
+operation is a pure function, so they can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 #: Largest field order constructed without an explicit override.
@@ -198,81 +196,57 @@ def find_irreducible(p: int, n: int, max_order: int = DESK_SCALE_BOUND) -> tuple
 # field types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Value object pinning down a field: characteristic, degree, modulus.
-
-    Two specs with equal (p, n, modulus) define identical arithmetic.
-    """
-
-    p: int
-    n: int
-    modulus: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"degree must be >= 1, got {self.n}")
-        mod = self.modulus
-        if len(mod) != self.n + 1:
-            raise ValueError(
-                f"modulus needs {self.n + 1} coefficients for degree {self.n}, got {len(mod)}"
-            )
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if any(not 0 <= c < self.p for c in mod):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if not is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over Z_{self.p}")
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.n
-
-
 class Field:
-    """Arithmetic engine for GF(p^n); elements are created through it."""
+    """Arithmetic engine for GF(p^n); elements are created through it.  p, n,
+    modulus and order are read-only; equal (p, n, modulus) means equal fields."""
 
-    __slots__ = ("spec", "_modbits", "_tables", "_subfields", "__weakref__")
+    __slots__ = ("p", "n", "modulus", "order", "_modbits", "_tables", "_subfields",
+                 "__weakref__")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None,
                  *, max_order: int = DESK_SCALE_BOUND):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if n < 1:
+            raise ValueError(f"degree must be >= 1, got {n}")
+        if p ** n > max_order:
+            raise ValueError(f"field order {p}^{n} exceeds the bound {max_order}")
         if modulus is None:
             modulus = find_irreducible(p, n, max_order)
-        spec = FieldSpec(p, n, modulus)
-        if spec.order > max_order:
-            raise ValueError(f"field order {spec.p}^{spec.n} exceeds the bound {max_order}")
-        self.spec = spec
+        else:
+            modulus = tuple(operator.index(c) for c in modulus)
+            if len(modulus) != n + 1:
+                raise ValueError(
+                    f"modulus needs {n + 1} coefficients for degree {n}, got {len(modulus)}")
+            if modulus[-1] != 1:
+                raise ValueError("modulus must be monic")
+            if any(not 0 <= c < p for c in modulus):
+                raise ValueError("modulus coefficients must lie in [0, p)")
+            if not is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
+        for name, value in (("p", p), ("n", n), ("modulus", modulus), ("order", p ** n)):
+            object.__setattr__(self, name, value)
         # packed modulus bits for the char-2 fast path
-        self._modbits = sum(c << i for i, c in enumerate(spec.modulus)) if spec.p == 2 else 0
+        self._modbits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else 0
         self._tables = None
         self._subfields = {}
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("p", "n", "modulus", "order"):
+            raise AttributeError(f"{name} of a Field is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{name} of a Field cannot be deleted")
+
     # -- identity ----------------------------------------------------------
 
-    @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def order(self) -> int:
-        return self.spec.order
-
-    @property
-    def modulus(self) -> tuple[int, ...]:
-        return self.spec.modulus
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and other.spec == self.spec
+        return self is other or (isinstance(other, Field) and other.p == self.p
+                                 and other.n == self.n and other.modulus == self.modulus)
 
     def __hash__(self) -> int:
-        return hash(self.spec)
+        return hash((self.p, self.n, self.modulus))
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
@@ -298,12 +272,12 @@ class Field:
         return FieldElement(self, self.p)
 
     def index(self, value) -> int:
-        """Canonical index of an element of this field (same spec) or of an
-        integer index in [0, q), read with operator.index so that numpy
-        integers work too.  A float raises TypeError; an index out of range
-        or an element of another field raises ValueError."""
+        """Canonical index of an element of this field (or of one equal to
+        it) or of an integer index in [0, q), read with operator.index so
+        that numpy integers work too.  A float raises TypeError; an index
+        out of range or an element of another field raises ValueError."""
         if isinstance(value, FieldElement):
-            if value.field is not self and value.field.spec != self.spec:
+            if value.field is not self and value.field != self:
                 raise ValueError(f"element of {value.field!r} given for {self!r}")
             return value.idx
         i = operator.index(value)
@@ -345,10 +319,10 @@ class Field:
 
     def _digitwise(self, i: int, j: int, sign: int) -> int:
         """i + sign * j, one base-p digit at a time (p odd)."""
-        p = self.spec.p
+        p = self.p
         out = 0
         mult = 1
-        for _ in range(self.spec.n):
+        for _ in range(self.n):
             out += ((i + sign * j) % p) * mult
             i //= p
             j //= p
@@ -356,10 +330,10 @@ class Field:
         return out
 
     def _add_idx(self, i: int, j: int) -> int:
-        return i ^ j if self.spec.p == 2 else self._digitwise(i, j, 1)
+        return i ^ j if self.p == 2 else self._digitwise(i, j, 1)
 
     def _sub_idx(self, i: int, j: int) -> int:
-        return i ^ j if self.spec.p == 2 else self._digitwise(i, j, -1)
+        return i ^ j if self.p == 2 else self._digitwise(i, j, -1)
 
     def _neg_idx(self, i: int) -> int:
         return self._sub_idx(0, i)
@@ -367,7 +341,7 @@ class Field:
     def _mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
             return 0
-        p, n = self.spec.p, self.spec.n
+        p, n = self.p, self.n
         if p == 2:
             acc = 0
             a = i
@@ -389,7 +363,7 @@ class Field:
             if ax:
                 for yi, by in enumerate(db):
                     t[xi + yi] += ax * by
-        mod = self.spec.modulus
+        mod = self.modulus
         for deg in range(2 * n - 2, n - 1, -1):
             c = t[deg] % p
             if c:
@@ -415,10 +389,10 @@ class Field:
         return self._pow_idx(i, self.order - 2)
 
     def _frob_idx(self, i: int, k: int) -> int:
-        k %= self.spec.n
+        k %= self.n
         if k == 0:
             return i
-        return self._pow_idx(i, self.spec.p ** k)
+        return self._pow_idx(i, self.p ** k)
 
     # -- maps ---------------------------------------------------------------
 
@@ -429,19 +403,19 @@ class Field:
 
     def trace(self, e: "FieldElement", m: int = 1) -> "FieldElement":
         """Relative trace onto GF(p^m): sum of e^(p^(m*i)) for i < n/m."""
-        if m < 1 or self.spec.n % m:
-            raise ValueError(f"{m} does not divide {self.spec.n}")
+        if m < 1 or self.n % m:
+            raise ValueError(f"{m} does not divide {self.n}")
         e = self.element(e)
-        step = self.spec.p ** m
+        step = self.p ** m
         acc = cur = e.idx
-        for _ in range(self.spec.n // m - 1):
+        for _ in range(self.n // m - 1):
             cur = self._pow_idx(cur, step)
             acc = self._add_idx(acc, cur)
         return FieldElement(self, acc)
 
     def quadratic_character(self, e: "FieldElement") -> int:
         """0 on zero, +1 on nonzero squares, -1 on non-squares (p odd)."""
-        if self.spec.p == 2:
+        if self.p == 2:
             raise ValueError("quadratic character needs odd characteristic")
         e = self.element(e)
         if e.idx == 0:
@@ -476,7 +450,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(_digits(self.idx, self.field.spec.p, self.field.spec.n))
+        return tuple(_digits(self.idx, self.field.p, self.field.n))
 
     @property
     def is_zero(self) -> bool:
@@ -487,17 +461,15 @@ class FieldElement:
         """Base-p digit string, constant term first (dots separate digits
         when p > 10, where single characters would be ambiguous)."""
         digits = self.coeffs
-        if self.field.spec.p <= 10:
+        if self.field.p <= 10:
             return "".join(str(d) for d in digits)
         return ".".join(str(d) for d in digits)
 
     def _coerce(self, other) -> int | None:
         if isinstance(other, FieldElement):
-            if other.field.spec != self.field.spec:
-                raise ValueError("elements belong to different fields")
-            return other.idx
+            return self.field.index(other)
         if isinstance(other, int):
-            return other % self.field.spec.p
+            return other % self.field.p
         return None
 
     def __add__(self, other):
@@ -557,11 +529,11 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return other.field.spec == self.field.spec and other.idx == self.idx
+            return other.field == self.field and other.idx == self.idx
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.field.spec, self.idx))
+        return hash((self.field, self.idx))
 
     def __bool__(self) -> bool:
         return self.idx != 0
@@ -591,14 +563,14 @@ class SubfieldMap:
     __slots__ = ("field", "m")
 
     def __init__(self, field: Field, m: int):
-        if m < 1 or field.spec.n % m:
-            raise ValueError(f"{m} does not divide {field.spec.n}")
+        if m < 1 or field.n % m:
+            raise ValueError(f"{m} does not divide {field.n}")
         self.field = field
         self.m = m
 
     @property
     def order(self) -> int:
-        return self.field.spec.p ** self.m
+        return self.field.p ** self.m
 
     def contains(self, e: FieldElement) -> bool:
         e = self.field.element(e)
@@ -625,8 +597,8 @@ class SubfieldMap:
 # field cache file: one field per line, "p,n,c0,c1,...,cn"
 # ---------------------------------------------------------------------------
 
-def cache_line(spec: FieldSpec) -> str:
-    return ",".join(str(v) for v in (spec.p, spec.n, *spec.modulus))
+def cache_line(field: Field) -> str:
+    return ",".join(str(v) for v in (field.p, field.n, *field.modulus))
 
 
 def read_field_cache(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -650,14 +622,14 @@ def read_field_cache(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     return out
 
 
-def append_field_cache(path: str, spec: FieldSpec) -> bool:
-    """Record spec in the cache file unless (p, n) is already present.
+def append_field_cache(path: str, field: Field) -> bool:
+    """Record field in the cache file unless (p, n) is already present.
 
     Returns True when a line was written.
     """
-    line = cache_line(spec) + "\n"
+    line = cache_line(field) + "\n"
     if os.path.exists(path):
-        if (spec.p, spec.n) in read_field_cache(path):
+        if (field.p, field.n) in read_field_cache(path):
             return False
         with open(path, encoding="utf-8") as fh:
             if fh.read()[-1:] not in ("", "\n"):  # keep the last line apart

@@ -6,10 +6,10 @@ import weakref
 
 import pytest
 
+from zdspec import cli, gf
 from zdspec.gf import (
     DESK_SCALE_BOUND,
     Field,
-    FieldSpec,
     canonical_field,
     append_field_cache,
     cache_line,
@@ -91,18 +91,50 @@ def test_frobenius_gcd_degrees_count_extension_roots(p):
 
 
 # ---------------------------------------------------------------------------
-# spec validation
+# field validation
 # ---------------------------------------------------------------------------
 
-def test_fieldspec_rejects_bad_moduli():
+def test_field_rejects_bad_moduli():
     with pytest.raises(ValueError):
-        FieldSpec(2, 2, (1, 1, 0, 1))   # degree mismatch
+        Field(2, 2, (1, 1, 0, 1))   # degree mismatch
     with pytest.raises(ValueError):
-        FieldSpec(2, 3, (1, 0, 0, 1))   # x^3 + 1 is reducible
+        Field(2, 3, (1, 0, 0, 1))   # x^3 + 1 is reducible
     with pytest.raises(ValueError):
-        FieldSpec(3, 2, (1, 0, 2))      # not monic
+        Field(3, 2, (1, 0, 2))      # not monic
     with pytest.raises(ValueError):
-        FieldSpec(6, 1, (1, 1))         # composite characteristic
+        Field(6, 1, (1, 1))         # composite characteristic
+    with pytest.raises(ValueError, match=r"\[0, p\)"):
+        Field(2, 3, (1, 3, 0, 1))   # x^3 + 3x + 1 has a coefficient outside Z_2
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Field(2, 21, find_irreducible(2, 21, max_order=1 << 21))
+
+
+def test_field_rejects_float_modulus_coefficients():
+    with pytest.raises(TypeError):
+        Field(2, 3, (1, 1.9, 0, 1))  # would truncate to x^3 + x + 1
+    with pytest.raises(TypeError):
+        Field(2, 3, (1.0, 1, 0, 1))
+
+
+def test_order_bound_is_checked_before_the_modulus(monkeypatch):
+    def never(*args):
+        raise AssertionError("irreducibility tested before the order bound")
+    monkeypatch.setattr(gf, "is_irreducible", never)
+    modulus = (1, 1) + (0,) * 61 + (1,)  # x^63 + x + 1
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Field(2, 63, modulus)
+    argv = ["table", "ddt", "2", "63", "3", "--modulus", ",".join(map(str, modulus))]
+    assert cli.main(argv) == 2
+
+
+def test_field_identity_is_read_only():
+    f = Field(3, 2)
+    for name in ("p", "n", "modulus", "order"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, getattr(f, name))
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert (f.p, f.n, f.modulus, f.order) == (3, 2, (1, 0, 1), 9)
 
 
 def test_field_order_bound_is_configurable():
@@ -429,17 +461,17 @@ def test_artin_schreier_table():
 
 def test_field_cache_roundtrip(tmp_path):
     path = str(tmp_path / "fields.txt")
-    spec = Field(2, 3).spec
-    assert append_field_cache(path, spec)
-    assert not append_field_cache(path, spec)  # already present
+    field = Field(2, 3)
+    assert append_field_cache(path, field)
+    assert not append_field_cache(path, field)  # already present
     assert read_field_cache(path) == {(2, 3): (1, 1, 0, 1)}
-    assert cache_line(spec) == "2,3,1,1,0,1"
+    assert cache_line(field) == "2,3,1,1,0,1"
 
 
 def test_field_cache_append_after_unterminated_line(tmp_path):
     path = tmp_path / "fields.txt"
     path.write_text("2,3,1,1,0,1")  # no trailing newline
-    assert append_field_cache(str(path), Field(2, 4).spec)
+    assert append_field_cache(str(path), Field(2, 4))
     assert path.read_text() == "2,3,1,1,0,1\n2,4,1,1,0,0,1\n"
     assert read_field_cache(str(path)) == {(2, 3): (1, 1, 0, 1),
                                            (2, 4): (1, 1, 0, 0, 1)}
