@@ -4,9 +4,9 @@ counting.
 
 Each predictor answers in time polynomial in n (field degree), while the
 brute-force side enumerates all p^n points per pair, so agreement between
-the two is a genuine two-path check.  The harness walks every (a, b) pair
-(or a seeded sample on large fields), records mismatches and entries the
-predictor declines to predict, and derives the observed uniformity.
+the two is a genuine two-path check.  The harness judges each ratio a/b
+once for all (a, b) pairs (or a seeded sample), records mismatches and
+entries the predictor declines to predict, and derives the uniformity.
 
 Predictor ids (used by the CLI verify command):
 
@@ -359,12 +359,13 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
                    seed: int | None = None) -> VerificationReport:
     """Compare a predictor against brute-force counts over (a, b) pairs.
 
-    All q^2 pairs are walked when q <= FULL_THRESHOLD and no sample size
-    is forced; otherwise `sample` pairs (default DEFAULT_SAMPLE) are
-    drawn uniformly with the recorded seed; a sample size below 1
-    raises ValueError.  Unpredicted entries are resolved by brute force
-    and listed separately; mismatches and unpredicted entries are sorted
-    by canonical element order.
+    Prediction and count see a pair with ab != 0 only through a/b, so
+    each ratio class and each pair with a zero is judged once.  Full mode
+    (q <= FULL_THRESHOLD, no sample forced) judges one pair (c, 1) for the
+    q - 1 pairs (ct, t) of each ratio c: 3q - 2 judgments for q^2 pairs.
+    Otherwise `sample` pairs (default DEFAULT_SAMPLE; below 1 raises
+    ValueError) are drawn with the recorded seed.  Unpredicted entries are
+    brute-forced and listed apart; both lists hold every pair, sorted.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
@@ -374,12 +375,14 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
     notes = spec.check(field)
     d = spec.exponent(field)
     q = field.order
-    fn = spectra.PowerFunction(field, d)
-    counter = spectra.make_sozd_counter(fn)
+    tables = field.tables
+    counter = spectra.make_sozd_counter(spectra.PowerFunction(field, d))
+    log = tables._explog[1].tolist()
 
     if sample is None and q <= FULL_THRESHOLD:
         mode, seed_used = "full", None
-        pairs = ((ia, ib) for ia in range(q) for ib in range(q))
+        pairs = ([(0, t) for t in range(q)] + [(t, 0) for t in range(1, q)]
+                 + [(c, 1) for c in tables._explog[0].tolist()])
         total = q * q
     else:
         mode = "sampled"
@@ -388,32 +391,27 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
         rng = random.Random(seed_used)
         pairs = ((rng.randrange(q), rng.randrange(q)) for _ in range(total))
 
-    char2 = field.p == 2
-    log = field.tables._explog[1].tolist()
-    memo: dict[int, PredictionOutcome] = {}
+    # key: the discrete log of a/b when ab != 0, else the pair itself
+    judged: dict[object, tuple[PredictionOutcome, int]] = {}
     mismatches: list[Mismatch] = []
     unpredicted: list[tuple[int, int, int]] = []
-    uniformity = 0
     for ia, ib in pairs:
-        degenerate = (ia == 0 or ib == 0 or (char2 and ia == ib))
-        if degenerate:
-            outcome = spec.predict(field, ia, ib)
-        else:
-            # nondegenerate predictions depend on (a, b) only through a/b,
-            # keyed here by its discrete logarithm
-            key = (log[ia] - log[ib]) % (q - 1)
-            outcome = memo.get(key)
-            if outcome is None:
-                outcome = spec.predict(field, ia, ib)
-                memo[key] = outcome
-        actual = counter(ia, ib)
-        admissible = ia != 0 and ib != 0 and (not char2 or ia != ib)
-        if admissible and actual > uniformity:
-            uniformity = actual
-        if outcome.unpredicted:
-            unpredicted.append((ia, ib, actual))
-        elif outcome.count != actual:
-            mismatches.append(Mismatch(ia, ib, outcome.count, actual, outcome.case))
+        key = (log[ia] - log[ib]) % (q - 1) if ia and ib else (ia, ib)
+        if key not in judged:
+            judged[key] = (spec.predict(field, ia, ib), counter(ia, ib))
+        outcome, actual = judged[key]
+        if outcome.count == actual:
+            continue
+        members = ([(ia, ib)] if mode == "sampled" or not (ia and ib) else
+                   zip(tables.mul_vec(tables.indices[1:], ia).tolist(), range(1, q)))
+        for a, b in members:
+            if outcome.unpredicted:
+                unpredicted.append((a, b, actual))
+            else:
+                mismatches.append(Mismatch(a, b, outcome.count, actual, outcome.case))
+    # admissible: ab != 0, and a != b (the class of log 0) in characteristic 2
+    uniformity = max((actual for key, (_, actual) in judged.items()
+                      if type(key) is int and (key or field.p != 2)), default=0)
 
     mismatches.sort(key=lambda m: (m.a, m.b))
     unpredicted.sort()

@@ -1,12 +1,17 @@
 """Predictors, verification harness, and their structural invariants."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from zdspec import cli, closedform
 from zdspec.gf import Field
 from zdspec.closedform import (
+    Mismatch,
+    PredictionOutcome,
+    VerificationReport,
     bound_x7_oddp,
     predict_x2m1p3,
     predict_x5_oddp,
@@ -219,10 +224,94 @@ def test_verify_sampled_mode_records_seed():
     assert r3.seed == 0
 
 
-def test_verify_auto_samples_large_fields():
-    report = verify_theorem("3.1", Field(2, 13), sample=300, seed=1)
+def test_verify_auto_samples_large_fields(monkeypatch):
+    monkeypatch.setattr(closedform, "DEFAULT_SAMPLE", 300)
+    report = verify_theorem("3.1", Field(2, 13))
     assert report.mode == "sampled"
+    assert report.pairs_checked == 300
+    assert report.seed == 0
     assert not report.mismatches
+
+
+def _per_pair_report(theorem, field, sample=None, seed=None):
+    """What verify_theorem reports, from a walk that calls the predictor
+    and the counter on every pair (all q^2, or each drawn pair), with no
+    memo and no ratio classes."""
+    spec = closedform.THEOREMS[theorem]
+    d = spec.exponent(field)
+    count = make_sozd_counter(PowerFunction(field, d))
+    q = field.order
+    if sample is None:
+        mode, seed_used = "full", None
+        pairs = [(ia, ib) for ia in range(q) for ib in range(q)]
+    else:
+        mode, seed_used = "sampled", 0 if seed is None else seed
+        rng = random.Random(seed_used)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(sample)]
+    mismatches, unpredicted, uniformity = [], [], 0
+    for ia, ib in pairs:
+        outcome, actual = spec.predict(field, ia, ib), count(ia, ib)
+        if ia and ib and (field.p != 2 or ia != ib):
+            uniformity = max(uniformity, actual)
+        if outcome.unpredicted:
+            unpredicted.append((ia, ib, actual))
+        elif outcome.count != actual:
+            mismatches.append(Mismatch(ia, ib, outcome.count, actual, outcome.case))
+    return VerificationReport(
+        theorem=spec.id, field=field, d=d, mode=mode, pairs_checked=len(pairs),
+        mismatches=sorted(mismatches, key=lambda m: (m.a, m.b)),
+        unpredicted=sorted(unpredicted), uniformity=uniformity,
+        expected_uniformity=spec.expected_uniformity(field), seed=seed_used,
+        notes=spec.check(field))
+
+
+@pytest.mark.parametrize("theorem,p,n", [
+    *[(t, 2, n) for t in ("3.1", "3.2") for n in (4, 5, 6, 7)],
+    *[("4.1", p, n) for p, n in ((3, 2), (3, 4), (3, 6), (7, 2), (11, 2), (13, 2))],
+    *[("4.2", 3, n) for n in (2, 4, 5, 6)],
+])
+def test_verify_class_judgment_equals_per_pair_walk(theorem, p, n):
+    # on GF(2^4), 700 draws exceed the q^2 = 256 pairs, so pairs and
+    # ratio classes repeat within the sample
+    f = Field(p, n)
+    sampled = verify_theorem(theorem, f, sample=700, seed=3)
+    assert sampled.to_json() == _per_pair_report(theorem, f, 700, 3).to_json()
+    if f.order <= 121:  # the per-pair walk costs q^2 predictor calls
+        full = verify_theorem(theorem, f)
+        assert full.to_json() == _per_pair_report(theorem, f).to_json()
+
+
+def test_verify_mismatch_lists_every_pair_of_the_class(monkeypatch, capsys):
+    """A predictor wrong on the one ratio class a/b = x: full mode lists
+    its q - 1 pairs and fails; the CLI exits 1."""
+    def wrong_on_x(field, a, b):
+        out = predict_x7_char2(field, a, b)
+        a, b = field.element(a), field.element(b)
+        if not b.is_zero and (a / b).idx == 2:
+            return PredictionOutcome(out.count + 1, "wrong on a/b = x")
+        return out
+
+    monkeypatch.setitem(closedform.THEOREMS, "3.1", dataclasses.replace(
+        closedform.THEOREMS["3.1"], predict=wrong_on_x))
+    f = Field(2, 4)
+    x = f.element(2)
+    actual = make_sozd_counter(PowerFunction(f, 7))(2, 1)
+    report = verify_theorem("3.1", f)
+    assert [(m.a, m.b) for m in report.mismatches] == sorted(
+        ((x * f.element(t)).idx, t) for t in range(1, f.order))
+    assert {(m.predicted, m.actual, m.case) for m in report.mismatches} == {
+        (actual + 1, actual, "wrong on a/b = x")}
+    assert not report.passed
+    assert report.to_json() == _per_pair_report("3.1", f).to_json()
+    sampled = verify_theorem("3.1", f, sample=600, seed=2)
+    assert sampled.mismatches
+    assert sampled.to_json() == _per_pair_report("3.1", f, 600, 2).to_json()
+
+    assert cli.main(["verify", "3.1", "2", "4", "--format", "csv"]) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record["mismatch_count"] == str(f.order - 1)
+    assert record["passed"] == "False"
 
 
 def test_verify_informational_small_n_note():
