@@ -8,10 +8,12 @@ Commands:
 * ``survey``               re-check cataloged published uniformities
 
 Exit codes: 0 all checks passed, 1 a mismatch was found, 2 usage or
-hypothesis error.  Outputs are byte-identical across runs for the same
-configuration and seed.  A field cache file (lines ``p,n,c0,...,cn``) is
-consulted before any modulus search; its path comes from ``--cache`` or
-the ``ZDSPEC_CACHE`` environment variable, in that order.
+hypothesis error.  Only ``table`` has a guard: above TABLE_ORDER_LIMIT
+its q^2-entry output needs ``--force``.  Outputs are byte-identical
+across runs for the same configuration and seed.  A field cache file
+(lines ``p,n,c0,...,cn``) is consulted before any modulus search; its
+path comes from ``--cache`` or the ``ZDSPEC_CACHE`` environment
+variable, in that order.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import sys
 
 from . import closedform, gf, spectra, survey
 
-#: Point evaluations allowed without --force.
-FORCE_THRESHOLD = 1 << 30
-#: Field order above which full tables are refused without --force.
+#: Field order above which full tables are refused without --force.  The
+#: bound is on output size: a table has q^2 entries, 16.8 M at q = 4096.
 TABLE_ORDER_LIMIT = 1 << 12
 
 
@@ -70,12 +71,10 @@ def _cmd_field(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     field = _build_field(args)
-    estimate = spectra.evaluation_estimate(field, args.which)
-    if not args.force and (estimate > FORCE_THRESHOLD or field.order > TABLE_ORDER_LIMIT):
+    if not args.force and field.order > TABLE_ORDER_LIMIT:
         print(f"refusing: a full {args.which} table over GF({field.p}^{field.n}) "
-              f"costs about {estimate} point evaluations "
-              f"(limit {FORCE_THRESHOLD}); pass --force to run anyway",
-              file=sys.stderr)
+              f"has {field.order ** 2} entries (limit {TABLE_ORDER_LIMIT ** 2}); "
+              f"pass --force to run anyway", file=sys.stderr)
         return 2
     fn = spectra.PowerFunction(field, args.d)
     matrix = spectra.full_table(fn, args.which)
@@ -89,19 +88,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     field = _build_field(args)
-    sample = args.sample
-    if sample is None and field.order > closedform.FULL_THRESHOLD:
-        sample = closedform.DEFAULT_SAMPLE
-    pairs = sample if sample is not None else field.order ** 2
-    estimate = pairs * field.order
-    if not args.force and estimate > FORCE_THRESHOLD:
-        print(f"refusing: verifying {pairs} pairs over GF({field.p}^{field.n}) "
-              f"costs about {estimate} point evaluations "
-              f"(limit {FORCE_THRESHOLD}); pass --force to run anyway",
-              file=sys.stderr)
-        return 2
     report = closedform.verify_theorem(args.theorem, field,
-                                       sample=sample, seed=args.seed)
+                                       sample=args.sample, seed=args.seed)
     if args.fmt == "csv":
         cols = ["theorem", "p", "n", "d", "mode", "pairs_checked",
                 "mismatch_count", "unpredicted_count", "uniformity",
@@ -166,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("d", type=int)
     t.add_argument("--modulus", help="explicit modulus c0,c1,...,cn")
     t.add_argument("--force", action="store_true",
-                   help="run computations above the evaluation budget")
+                   help=f"build tables over fields of order above {TABLE_ORDER_LIMIT}")
     _add_common(t)
 
     v = subs.add_parser("verify", help="entrywise predictor vs brute force")
@@ -178,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force seeded sampling of N pairs")
     v.add_argument("--seed", type=int, help="seed for sampled verification")
     v.add_argument("--modulus", help="explicit modulus c0,c1,...,cn")
-    v.add_argument("--force", action="store_true",
-                   help="run computations above the evaluation budget")
     _add_common(v, default_fmt="json")
 
     s = subs.add_parser("survey", help="re-check cataloged uniformities")

@@ -2,11 +2,12 @@
 power-map families, and the harness that verifies them against exhaustive
 counting.
 
-Each predictor answers in time polynomial in n (field degree), while the
-brute-force side enumerates all p^n points per pair, so agreement between
-the two is a genuine two-path check.  The harness judges each ratio a/b
-once for all (a, b) pairs (or a seeded sample), records mismatches and
-entries the predictor declines to predict, and derives the uniformity.
+Each predictor answers in time polynomial in n (field degree), while
+each count is read by homogeneity from row a = 1 of the power map, which
+spectra counts exactly; so agreement between the two is a genuine
+two-path check.  The harness judges each ratio a/b once for all (a, b)
+pairs (or a seeded sample), records mismatches and entries the predictor
+declines to predict, and derives the uniformity.
 
 Predictor ids (used by the CLI verify command):
 
@@ -19,6 +20,7 @@ Predictor ids (used by the CLI verify command):
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -159,7 +161,7 @@ def predict_x5_oddp(field: Field, a, b) -> PredictionOutcome:
     a, b = field.element(a), field.element(b)
     if a.is_zero or b.is_zero:
         return PredictionOutcome(field.order, "ab = 0")
-    eta = field.quadratic_character(-(a * a + b * b))
+    eta = field.tables.quadchar[(-(a * a + b * b)).idx]
     if eta == 1:
         return PredictionOutcome(3, "eta(-(a^2+b^2)) = +1")
     if eta == -1:
@@ -184,10 +186,11 @@ def predict_x7_p3(field: Field, a, b) -> PredictionOutcome:
     if a.is_zero or b.is_zero:
         return PredictionOutcome(field.order, "ab = 0")
     s = a * a + b * b
+    # eta(1/s) = eta(s), as eta is multiplicative with values +-1
+    eta = field.tables.quadchar[s.idx]
     if field.n % 2 == 1:
         if s.is_zero:
             raise RuntimeError("a^2+b^2 = 0 cannot happen for odd n (eta(-1) = -1)")
-        eta = field.quadratic_character(s.inverse())
         if eta == 1:
             return PredictionOutcome(1, "eta(1/(a^2+b^2)) = +1")
         return PredictionOutcome(3, "eta(1/(a^2+b^2)) = -1")
@@ -195,7 +198,6 @@ def predict_x7_p3(field: Field, a, b) -> PredictionOutcome:
         if a == b:
             raise RuntimeError("a = b forces a^2+b^2 = -a^2 != 0 over GF(3^n)")
         return PredictionOutcome(1, "a^2+b^2 = 0, a != b")
-    eta = field.quadratic_character(s.inverse())
     if eta == -1:
         return PredictionOutcome(1, "eta(1/(a^2+b^2)) = -1")
     return PredictionOutcome(3, "eta(1/(a^2+b^2)) = +1")
@@ -363,15 +365,18 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
     each ratio class and each pair with a zero is judged once.  Full mode
     (q <= FULL_THRESHOLD, no sample forced) judges one pair (c, 1) for the
     q - 1 pairs (ct, t) of each ratio c: 3q - 2 judgments for q^2 pairs.
-    Otherwise `sample` pairs (default DEFAULT_SAMPLE; below 1 raises
-    ValueError) are drawn with the recorded seed.  Unpredicted entries are
-    brute-forced and listed apart; both lists hold every pair, sorted.
+    Otherwise `sample` pairs (default DEFAULT_SAMPLE; read with
+    operator.index, and below 1 raises ValueError) are drawn with the
+    recorded seed.  Unpredicted entries are brute-forced and listed
+    apart; both lists hold every pair, sorted.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
         raise ValueError(f"unknown predictor id {theorem!r}; known: {theorem_ids()}")
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample size must be at least 1, got {sample}")
+    if sample is not None:
+        sample = operator.index(sample)
+        if sample < 1:
+            raise ValueError(f"sample size must be at least 1, got {sample}")
     notes = spec.check(field)
     d = spec.exponent(field)
     q = field.order

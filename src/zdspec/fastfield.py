@@ -18,6 +18,7 @@ Field arithmetic stays the independent oracle for every table.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from functools import cached_property
 
@@ -157,7 +158,9 @@ class FieldTables:
         return out
 
     def pow_map(self, d: int) -> np.ndarray:
-        """x -> x^d over all x, with 0^d = 0 (d >= 1)."""
+        """x -> x^d over all x, with 0^d = 0 (d >= 1, read with
+        operator.index)."""
+        d = operator.index(d)
         if d < 1:
             raise ValueError("exponent must be >= 1")
         cached = self._pow_cache.get(d)

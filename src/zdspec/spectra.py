@@ -25,6 +25,7 @@ computed one after another on the calling thread.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -34,11 +35,13 @@ from .gf import Field, FieldElement
 
 
 class PowerFunction:
-    """The power map x -> x^d on a field, with 0^d = 0 for every d >= 1."""
+    """The power map x -> x^d on a field, with 0^d = 0 for every d >= 1
+    (d read with operator.index)."""
 
     __slots__ = ("field", "d", "_rows")
 
     def __init__(self, field: Field, d: int):
+        d = operator.index(d)
         if d < 1:
             raise ValueError(f"exponent must be >= 1, got {d}")
         self.field = field
@@ -303,11 +306,9 @@ TABLE_KINDS = ("ddt", "fbct", "sozd")
 
 
 def evaluation_estimate(field: Field, which: str) -> int:
-    """Point evaluations of a full table by per-entry counting.
-
-    The row kernel needs far fewer, but this q^2 / q^3 figure stays the
-    budget unit of the CLI guard and of the survey, so that what they
-    refuse or skip does not change.
+    """Point evaluations of a full table by per-entry counting (q^2 for
+    the DDT, q^3 otherwise).  The row kernel needs far fewer; only the
+    benchmark's traced replay still reads this figure.
     """
     q = field.order
     return q * q if which == "ddt" else q * q * q

@@ -83,11 +83,12 @@ def test_table_ddt_apn(capsys):
 
 
 def test_table_force_guard(capsys):
-    code, _, err = run(capsys, "table", "sozd", "2", "11", "3")
+    # refused on output size alone: q > 4096, not the cost of the kind
+    code, out, err = run(capsys, "table", "sozd", "2", "13", "3")
     assert code == 2
-    assert "point evaluations" in err and "--force" in err
-    # ddt costs only q^2, so the same field is fine without --force
-    code, out, _ = run(capsys, "table", "ddt", "2", "11", "3")
+    assert out == ""
+    assert "67108864 entries" in err and "16777216" in err and "--force" in err
+    code, out, _ = run(capsys, "table", "sozd", "2", "11", "3")
     assert code == 0
     assert len(out.splitlines()) == 2049
 
@@ -160,10 +161,17 @@ def test_verify_sample_flag(capsys):
 
 
 def test_verify_force_guard(capsys):
-    # 10^4 sampled pairs over GF(2^18) cost ~2.6e9 evaluations
-    code, _, err = run(capsys, "verify", "3.1", "2", "18")
+    # verify has no guard: all of GF(2^11) runs in full mode, and --force
+    # is not an option of verify
+    code, out, _ = run(capsys, "verify", "3.1", "2", "11")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "full"
+    assert payload["pairs_checked"] == 2048 ** 2
+    code, out, err = run(capsys, "verify", "3.1", "2", "6", "--force")
     assert code == 2
-    assert "point evaluations" in err and "--force" in err
+    assert out == ""
+    assert "--force" in err
 
 
 def test_usage_error_exit_code(capsys):

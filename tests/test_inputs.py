@@ -1,6 +1,7 @@
 """Element-or-index arguments: every public entry point reads them through
 Field.index (or its array counterpart FieldTables.index_array), so bad
-input raises and a numpy integer works wherever a Python int does."""
+input raises and a numpy integer works wherever a Python int does.
+Integer arguments (exponents, sample sizes) are read with operator.index."""
 
 import numpy as np
 import pytest
@@ -79,3 +80,27 @@ def test_scalar_and_coefficients_take_numpy_integers():
     f = Field(*ODD)
     assert f.scalar(np.int64(5)) == f.scalar(5)
     assert f.element([np.int64(2), np.uint8(4)]) == f.element([2, 4])
+
+
+#: entry point -> call taking a GF(2^4) and one integer argument
+INTEGER_ARGS = {
+    "PowerFunction": lambda f, v: spectra.PowerFunction(f, v).values().tolist(),
+    "FieldTables.pow_map": lambda f, v: f.tables.pow_map(v).tolist(),
+    "verify_theorem-sample": lambda f, v: closedform.verify_theorem(
+        "3.1", f, sample=v, seed=1).to_json(),
+}
+
+
+@pytest.mark.parametrize("entry", list(INTEGER_ARGS))
+def test_integer_argument(entry):
+    call = INTEGER_ARGS[entry]
+    f = Field(2, 4)
+    assert call(f, np.int64(3)) == call(f, 3)
+    with pytest.raises(TypeError):
+        call(f, 3.0)
+
+
+def test_verify_sample_true_reads_as_one():
+    report = closedform.verify_theorem("3.1", Field(2, 4), sample=True)
+    assert type(report.pairs_checked) is int
+    assert '"pairs_checked": 1,' in report.to_json()
