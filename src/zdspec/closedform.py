@@ -2,12 +2,19 @@
 power-map families, and the harness that verifies them against exhaustive
 counting.
 
-Each predictor answers in time polynomial in n (field degree), while
-each count is read by homogeneity from row a = 1 of the power map, which
-spectra counts exactly; so agreement between the two is a genuine
-two-path check.  The harness judges each ratio a/b once for all (a, b)
-pairs (or a seeded sample), records mismatches and entries the predictor
-declines to predict, and derives the uniformity.
+Each theorem has two forms.  The scalar predict_* is the per-pair
+statement: one (a, b), Field arithmetic, a PredictionOutcome.  The array
+form predict_*_vec is the harness path: index arrays a and b in, and the
+counts (-1 where unpredicted) and case ids into the theorem's case tuple
+out, computed on FieldTables in one numpy pass.  The tests hold the two
+forms equal on every ratio class.
+
+Each count is read by homogeneity from row a = 1 of the power map, which
+spectra counts exactly, so agreement between prediction and count is a
+genuine two-path check.  The harness judges each ratio a/b once for all
+(a, b) pairs (or a seeded sample) in one array-form call, records
+mismatches and entries the predictor declines to predict, and derives
+the uniformity.
 
 Predictor ids (used by the CLI verify command):
 
@@ -19,10 +26,13 @@ Predictor ids (used by the CLI verify command):
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .equations import gf2_eliminate
 from .gf import Field, FieldElement
@@ -32,6 +42,8 @@ from . import spectra
 FULL_THRESHOLD = 1 << 12
 #: Sampled pairs used above the threshold.
 DEFAULT_SAMPLE = 10_000
+#: Pairs drawn per chunk in sampled mode, which bounds its memory.
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,17 @@ class PredictionOutcome:
 
 def _degenerate_char2(a: FieldElement, b: FieldElement) -> bool:
     return a.is_zero or b.is_zero or a == b
+
+
+def _log_ratio(tables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(log a - log b) mod (q - 1): the discrete log of a/b where ab != 0,
+    and some valid exponent elsewhere."""
+    log = tables._explog[1]
+    return (log[a] - log[b]) % (tables.q - 1)
+
+
+def _sum_of_squares(tables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return tables.add_vec(tables.mul_vec(a, a), tables.mul_vec(b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +103,33 @@ def predict_x7_char2(field: Field, a, b) -> PredictionOutcome:
     if not (tr[w.idx] or tr[(w * c * c).idx] or tr[(w * (c + 1) * (c + 1)).idx]):
         return PredictionOutcome(4, "all three traces vanish")
     return PredictionOutcome(0, "some trace is 1")
+
+
+X7_CHAR2_CASES = ("ab(a+b) = 0", "a/b root of c^2+c+1", "all three traces vanish",
+                  "some trace is 1")
+
+
+def predict_x7_char2_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """predict_x7_char2 over index arrays: (counts, case ids into
+    X7_CHAR2_CASES).  In log coordinates, with c = a/b and
+    t = c^2 + c + 1, the trace arguments w, w c^2 and w (c + 1)^2 have
+    log w = 2 (log t - log c - log(c + 1))."""
+    if field.p != 2:
+        raise ValueError("requires characteristic 2")
+    tables = field.tables
+    a, b = tables.index_array(a), tables.index_array(b)
+    exp, log = tables._explog
+    m = field.order - 1
+    lc = _log_ratio(tables, a, b)
+    c = exp[lc]
+    lc1 = log[c ^ 1]
+    t = tables.mul_vec(c, c) ^ c ^ 1
+    lw = 2 * (log[t] - lc - lc1)
+    tr = tables.trace1
+    traces = tr[exp[lw % m]] | tr[exp[(lw + 2 * lc) % m]] | tr[exp[(lw + 2 * lc1) % m]]
+    case_ids = np.select([(a == 0) | (b == 0) | (a == b), t == 0, traces == 0],
+                         [0, 1, 2], 3)
+    return np.array([field.order, 4, 4, 0])[case_ids], case_ids
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +192,71 @@ def predict_x2m1p3(field: Field, a, b) -> PredictionOutcome:
     return PredictionOutcome(count, case)
 
 
+X2M1P3_CASES = ("ab(a+b) = 0", "a/b in the half-degree subfield", "a/b root of c^2+c+1",
+                "affine equation solvable", "affine equation inconsistent")
+
+
+#: Classes per block of the batched 3.2 elimination, which bounds its
+#: temporaries to _AFFINE_BLOCK * n entries.
+_AFFINE_BLOCK = 1 << 14
+
+
+def _affine_counts(tables, c: np.ndarray, m: int) -> np.ndarray:
+    """_second_order_affine_count for every c at once.  The columns of
+    the GF(2)-linear map are the images of the basis y = x^j, read from
+    frob_map(m + 1); one xor basis per c, keyed by leading bit, gives
+    the rank, and reducing the right-hand side by it the consistency."""
+    n = tables.n
+    frob, sq = tables.frob_map(m + 1), tables.pow_map(2)
+    y = 1 << np.arange(n)
+    out = np.empty(len(c), dtype=np.int64)
+    for start in range(0, len(c), _AFFINE_BLOCK):
+        cs = c[start:start + _AFFINE_BLOCK]
+        c2 = sq[cs]
+        cb = frob[cs] ^ cs
+        cc = frob[cs] ^ c2
+        rhs = tables.mul_vec(cb, c2 ^ cs ^ 1)
+        cols = (tables.mul_vec((c2 ^ cs)[:, None], frob[y])
+                ^ tables.mul_vec(cb[:, None], sq[y]) ^ tables.mul_vec(cc[:, None], y))
+        basis = np.zeros((len(cs), n), dtype=np.int64)
+        for j in range(n):
+            v = cols[:, j]
+            for bit in reversed(range(n)):
+                top = ((v >> bit) & 1).astype(bool)
+                fresh = top & (basis[:, bit] == 0)
+                basis[fresh, bit] = v[fresh]
+                v = np.where(top, v ^ basis[:, bit], v)
+        for bit in reversed(range(n)):
+            rhs = np.where((rhs >> bit) & 1, rhs ^ basis[:, bit], rhs)
+        out[start:start + _AFFINE_BLOCK] = np.where(
+            rhs == 0, 1 << (n - np.count_nonzero(basis, axis=1)), 0)
+    return out
+
+
+def predict_x2m1p3_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """predict_x2m1p3 over index arrays: (counts, case ids into
+    X2M1P3_CASES), with the same consistency raises."""
+    if field.p != 2:
+        raise ValueError("requires characteristic 2")
+    n = field.n
+    m = n // 2
+    if m < 1:
+        raise ValueError("needs n >= 2")
+    tables = field.tables
+    a, b = tables.index_array(a), tables.index_array(b)
+    c = tables._explog[0][_log_ratio(tables, a, b)]
+    count = _affine_counts(tables, c, m)
+    generic = (a != 0) & (b != 0) & (a != b)
+    sub = generic & (tables.frob_map(m)[c] == c) if n % 2 == 0 else np.zeros_like(generic)
+    if (count[sub] != 2 ** m).any():
+        raise RuntimeError("subfield case must contribute 2^m solutions")
+    cube = generic & ~sub & ((tables.mul_vec(c, c) ^ c ^ 1) == 0)
+    if (count[cube] != 4).any():
+        raise RuntimeError("c^2+c+1 = 0 case must contribute 4 solutions")
+    case_ids = np.select([~generic, sub, cube, count > 0], [0, 1, 2, 3], 4)
+    return np.where(generic, count, field.order), case_ids
+
+
 # ---------------------------------------------------------------------------
 # x^5 over GF(p^n), p odd and p != 5
 # ---------------------------------------------------------------------------
@@ -167,6 +282,24 @@ def predict_x5_oddp(field: Field, a, b) -> PredictionOutcome:
     if eta == -1:
         return PredictionOutcome(1, "eta(-(a^2+b^2)) = -1")
     return PredictionOutcome(None, "eta argument is 0 (a^2+b^2 = 0)")
+
+
+X5_ODDP_CASES = ("ab = 0", "eta(-(a^2+b^2)) = +1", "eta(-(a^2+b^2)) = -1",
+                 "eta argument is 0 (a^2+b^2 = 0)")
+
+
+def predict_x5_oddp_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """predict_x5_oddp over index arrays: (counts, case ids into
+    X5_ODDP_CASES), count -1 where unpredicted."""
+    if field.p == 2:
+        raise ValueError("requires odd characteristic")
+    if field.p == 5:
+        raise ValueError("p = 5 is excluded (the exponent collapses)")
+    tables = field.tables
+    a, b = tables.index_array(a), tables.index_array(b)
+    eta = tables.quadchar[tables.sub_vec(0, _sum_of_squares(tables, a, b))]
+    case_ids = np.select([(a == 0) | (b == 0), eta == 1, eta == -1], [0, 1, 2], 3)
+    return np.array([field.order, 3, 1, -1])[case_ids], case_ids
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +336,29 @@ def predict_x7_p3(field: Field, a, b) -> PredictionOutcome:
     return PredictionOutcome(3, "eta(1/(a^2+b^2)) = +1")
 
 
+X7_P3_CASES = ("ab = 0", "eta(1/(a^2+b^2)) = +1", "eta(1/(a^2+b^2)) = -1",
+               "a^2+b^2 = 0, a != b")
+
+
+def predict_x7_p3_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """predict_x7_p3 over index arrays: (counts, case ids into
+    X7_P3_CASES), with the same consistency raises."""
+    if field.p != 3:
+        raise ValueError("requires characteristic 3")
+    tables = field.tables
+    a, b = tables.index_array(a), tables.index_array(b)
+    s = _sum_of_squares(tables, a, b)
+    zero = (a == 0) | (b == 0)
+    vanish = ~zero & (s == 0)
+    if field.n % 2 == 1 and vanish.any():
+        raise RuntimeError("a^2+b^2 = 0 cannot happen for odd n (eta(-1) = -1)")
+    if (vanish & (a == b)).any():
+        raise RuntimeError("a = b forces a^2+b^2 = -a^2 != 0 over GF(3^n)")
+    case_ids = np.select([zero, vanish, tables.quadchar[s] == 1], [0, 3, 1], 2)
+    per_case = [field.order, 1, 3, 1] if field.n % 2 == 1 else [field.order, 3, 1, 1]
+    return np.array(per_case)[case_ids], case_ids
+
+
 # ---------------------------------------------------------------------------
 # the x^7 bound in odd characteristic
 # ---------------------------------------------------------------------------
@@ -234,6 +390,8 @@ class _Theorem:
     exponent: object          # field -> d
     check: object             # field -> list of notes, raises on violation
     predict: object           # (field, a, b) -> PredictionOutcome
+    predict_vec: object       # (field, a, b) -> (counts, case ids into cases)
+    cases: tuple[str, ...]
     expected_uniformity: object  # field -> int
 
 
@@ -281,11 +439,15 @@ def _check_42(field: Field) -> list[str]:
 
 
 THEOREMS: dict[str, _Theorem] = {
-    "3.1": _Theorem("3.1", lambda f: 7, _check_31, predict_x7_char2, lambda f: 4),
+    "3.1": _Theorem("3.1", lambda f: 7, _check_31, predict_x7_char2,
+                    predict_x7_char2_vec, X7_CHAR2_CASES, lambda f: 4),
     "3.2": _Theorem("3.2", lambda f: 2 ** (f.n // 2 + 1) + 3, _check_32, predict_x2m1p3,
+                    predict_x2m1p3_vec, X2M1P3_CASES,
                     lambda f: 2 ** (f.n // 2) if f.n % 2 == 0 else 4),
-    "4.1": _Theorem("4.1", lambda f: 5, _check_41, predict_x5_oddp, lambda f: 3),
-    "4.2": _Theorem("4.2", lambda f: 7, _check_42, predict_x7_p3, lambda f: 3),
+    "4.1": _Theorem("4.1", lambda f: 5, _check_41, predict_x5_oddp,
+                    predict_x5_oddp_vec, X5_ODDP_CASES, lambda f: 3),
+    "4.2": _Theorem("4.2", lambda f: 7, _check_42, predict_x7_p3,
+                    predict_x7_p3_vec, X7_P3_CASES, lambda f: 3),
 }
 
 
@@ -357,18 +519,42 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _draws(q: int, total: int, seed: int):
+    """The sampled (a, b) pairs, drawn as random.Random(seed).randrange(q)
+    for a, then b, pair after pair, and yielded as index arrays of at most
+    SAMPLE_CHUNK pairs."""
+    rng = random.Random(seed)
+    for start in range(0, total, SAMPLE_CHUNK):
+        k = min(SAMPLE_CHUNK, total - start)
+        flat = np.fromiter(map(rng.randrange, itertools.repeat(q, 2 * k)), np.int64, 2 * k)
+        yield flat[0::2], flat[1::2]
+
+
+def _class_keys(tables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The judgment key of each pair, in [0, 3q - 2): the discrete log of
+    a/b when ab != 0, else q - 1 + b for (0, b) and 2q - 2 + a for (a, 0)."""
+    q = tables.q
+    return np.where(a == 0, q - 1 + b,
+                    np.where(b == 0, 2 * q - 2 + a, _log_ratio(tables, a, b)))
+
+
 def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
                    seed: int | None = None) -> VerificationReport:
     """Compare a predictor against brute-force counts over (a, b) pairs.
 
     Prediction and count see a pair with ab != 0 only through a/b, so
-    each ratio class and each pair with a zero is judged once.  Full mode
+    each ratio class and each pair with a zero is judged once, by one
+    call of the theorem's array form on one pair per key; the actual
+    counts are read from row 1 of the power map at b/a.  Full mode
     (q <= FULL_THRESHOLD, no sample forced) judges one pair (c, 1) for the
     q - 1 pairs (ct, t) of each ratio c: 3q - 2 judgments for q^2 pairs.
     Otherwise `sample` pairs (default DEFAULT_SAMPLE; read with
     operator.index, and below 1 raises ValueError) are drawn with the
-    recorded seed.  Unpredicted entries are brute-forced and listed
-    apart; both lists hold every pair, sorted.
+    recorded seed, in chunks of SAMPLE_CHUNK, and the first drawn pair of
+    each key is judged.  Unpredicted entries are brute-forced and listed
+    apart; both lists hold every pair (every draw, in sampled mode),
+    sorted.  The scalar predictor is the per-pair statement the tests
+    hold this against.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
@@ -380,46 +566,62 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
     notes = spec.check(field)
     d = spec.exponent(field)
     q = field.order
+    m = q - 1
     tables = field.tables
-    counter = spectra.make_sozd_counter(spectra.PowerFunction(field, d))
-    log = tables._explog[1].tolist()
+    exp = tables._explog[0]
 
     if sample is None and q <= FULL_THRESHOLD:
-        mode, seed_used = "full", None
-        pairs = ([(0, t) for t in range(q)] + [(t, 0) for t in range(1, q)]
-                 + [(c, 1) for c in tables._explog[0].tolist()])
-        total = q * q
+        mode, seed_used, total = "full", None, q * q
+        # one pair per key, in key order: (g^k, 1), then (0, b), then (a, 0)
+        zeros = np.zeros(q, dtype=np.int64)
+        rep_a = np.concatenate([exp, zeros, tables.indices[1:]])
+        rep_b = np.concatenate([np.ones(m, dtype=np.int64), tables.indices, zeros[1:]])
+        keys = np.arange(3 * q - 2)
     else:
         mode = "sampled"
         total = sample if sample is not None else DEFAULT_SAMPLE
         seed_used = seed if seed is not None else 0
-        rng = random.Random(seed_used)
-        pairs = ((rng.randrange(q), rng.randrange(q)) for _ in range(total))
+        first = np.full(3 * q - 2, -1, dtype=np.int64)  # first drawn a * q + b
+        for a, b in _draws(q, total, seed_used):
+            uniq, at = np.unique(_class_keys(tables, a, b), return_index=True)
+            new = first[uniq] < 0
+            first[uniq[new]] = (a * q + b)[at[new]]
+        keys = np.flatnonzero(first >= 0)
+        rep_a, rep_b = np.divmod(first[keys], q)
 
-    # key: the discrete log of a/b when ab != 0, else the pair itself
-    judged: dict[object, tuple[PredictionOutcome, int]] = {}
+    counts, case_ids = spec.predict_vec(field, rep_a, rep_b)
+    row1 = spectra.power_rows(spectra.PowerFunction(field, d))[1]
+    ratio = keys < m
+    actual = np.full(len(keys), q, dtype=np.int64)
+    actual[ratio] = row1[exp[-keys[ratio] % m]]
+    # admissible: ab != 0, and a != b (the class of log 0) in characteristic 2
+    admissible = actual[ratio & ((keys != 0) | (field.p != 2))]
+    uniformity = int(admissible.max()) if admissible.size else 0
+
+    # list every pair of each key judged wrong, with the key's judgment slot
+    bad = np.flatnonzero(counts != actual)
+    parts = [(np.empty(0, dtype=np.int64),) * 3]
+    if bad.size and mode == "sampled":
+        slot = np.full(3 * q - 2, -1, dtype=np.int64)
+        slot[keys[bad]] = bad
+        for a, b in _draws(q, total, seed_used):
+            i = slot[_class_keys(tables, a, b)]
+            parts.append((a[i >= 0], b[i >= 0], i[i >= 0]))
+    elif bad.size:
+        # a ratio class c has the q - 1 pairs (ct, t); a pair with a zero, itself
+        t = tables.indices[1:]
+        parts += [(tables.mul_vec(t, rep_a[i]), t, np.full(m, i)) if keys[i] < m
+                  else (rep_a[i:i + 1], rep_b[i:i + 1], np.array([i])) for i in bad.tolist()]
+    la, lb, li = (np.concatenate(part) for part in zip(*parts))
+    order = np.lexsort((lb, la))
+    counts, actual, case_ids = counts.tolist(), actual.tolist(), case_ids.tolist()
     mismatches: list[Mismatch] = []
     unpredicted: list[tuple[int, int, int]] = []
-    for ia, ib in pairs:
-        key = (log[ia] - log[ib]) % (q - 1) if ia and ib else (ia, ib)
-        if key not in judged:
-            judged[key] = (spec.predict(field, ia, ib), counter(ia, ib))
-        outcome, actual = judged[key]
-        if outcome.count == actual:
-            continue
-        members = ([(ia, ib)] if mode == "sampled" or not (ia and ib) else
-                   zip(tables.mul_vec(tables.indices[1:], ia).tolist(), range(1, q)))
-        for a, b in members:
-            if outcome.unpredicted:
-                unpredicted.append((a, b, actual))
-            else:
-                mismatches.append(Mismatch(a, b, outcome.count, actual, outcome.case))
-    # admissible: ab != 0, and a != b (the class of log 0) in characteristic 2
-    uniformity = max((actual for key, (_, actual) in judged.items()
-                      if type(key) is int and (key or field.p != 2)), default=0)
-
-    mismatches.sort(key=lambda m: (m.a, m.b))
-    unpredicted.sort()
+    for a, b, i in zip(la[order].tolist(), lb[order].tolist(), li[order].tolist()):
+        if counts[i] < 0:
+            unpredicted.append((a, b, actual[i]))
+        else:
+            mismatches.append(Mismatch(a, b, counts[i], actual[i], spec.cases[case_ids[i]]))
     return VerificationReport(
         theorem=spec.id, field=field, d=d, mode=mode, pairs_checked=total,
         mismatches=mismatches, unpredicted=unpredicted, uniformity=uniformity,

@@ -156,8 +156,9 @@ def _fiber_row(fn, ia: int) -> tuple[np.ndarray, np.ndarray]:
     return ddt, row
 
 
-def _power_rows(fn: "PowerFunction") -> tuple[np.ndarray, np.ndarray]:
-    """_fiber_row(fn, 1), computed on first use and kept on fn.
+def power_rows(fn: "PowerFunction") -> tuple[np.ndarray, np.ndarray]:
+    """_fiber_row(fn, 1), computed on first use and kept on fn: the DDT
+    row and the second-order row of a = 1.
 
     For F(x) = x^d, substituting x -> cx shows that the second-order
     count of (ca, cb) equals that of (a, b), and DDT(ca, c^d b) equals
@@ -190,16 +191,18 @@ def _gather_table(field: Field, row0: np.ndarray, row1: np.ndarray,
 
 
 def make_sozd_counter(fn) -> Callable[[int, int], int]:
-    """A reusable (a_idx, b_idx) -> count closure for hot loops.
+    """A reusable (a_idx, b_idx) -> count closure, one pair per call.
 
     For a power map the count is read from row 1 at b/a; any other
-    function is counted entry by entry.
+    function is counted entry by entry.  closedform.verify_theorem no
+    longer uses it (it reads row 1 by index array); the tests and the
+    benchmark's traced replay do, as the per-pair side.
     """
     if not isinstance(fn, PowerFunction):
         return _PairCounter(fn).count
     q = fn.field.order
     m = q - 1
-    row = _power_rows(fn)[1].tolist()
+    row = power_rows(fn)[1].tolist()
     exp, log = (t.tolist() for t in fn.field.tables._explog)
 
     def count(ia: int, ib: int) -> int:
@@ -227,7 +230,7 @@ def differential_uniformity(fn) -> int:
         raise ValueError("field too small")
     if isinstance(fn, PowerFunction):
         # every row a != 0 permutes the columns of row 1
-        return int(_power_rows(fn)[0].max())
+        return int(power_rows(fn)[0].max())
     return max(int(_ddt_row(fn, ia).max()) for ia in range(1, field.order))
 
 
@@ -281,7 +284,7 @@ def sozd_spectrum(fn) -> SpectrumSummary:
     if isinstance(fn, PowerFunction):
         # (a, b) -> b/a maps the admissible pairs (q-1)-to-one onto the
         # nonzero ratios, excluding 1 when p = 2
-        row = _power_rows(fn)[1]
+        row = power_rows(fn)[1]
         counts += (q - 1) * np.bincount(np.delete(row, [0, 1] if char2 else [0]),
                                         minlength=q + 1)
     else:
@@ -328,7 +331,7 @@ def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
         raise ValueError("the Feistel boomerang table requires characteristic 2")
     q = field.order
     if isinstance(fn, PowerFunction):
-        ddt1, row1 = _power_rows(fn)
+        ddt1, row1 = power_rows(fn)
         if which == "ddt":
             return _gather_table(field, _fiber_row(fn, 0)[0], ddt1, fn.d)
         return _gather_table(field, np.full(q, q, dtype=np.int64), row1, 1)

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from zdspec import cli, closedform
@@ -16,6 +18,7 @@ from zdspec.closedform import (
     predict_x2m1p3,
     predict_x5_oddp,
     predict_x7_char2,
+    predict_x7_char2_vec,
     predict_x7_p3,
     theorem_ids,
     verify_theorem,
@@ -176,6 +179,53 @@ def test_x7_trace_case_coherent_with_quartic_classifier():
 
 
 # ---------------------------------------------------------------------------
+# array forms against the scalar predictors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theorem,p,n,classes", [
+    *[("3.1", 2, n, None) for n in range(3, 11)],
+    *[("3.2", 2, n, None) for n in range(4, 13)],
+    *[("4.1", 3, n, None) for n in range(2, 8)],
+    *[("4.1", p, n, None) for p, n in ((7, 2), (7, 3), (11, 2), (13, 2))],
+    *[("4.2", 3, n, None) for n in range(2, 9)],
+    *[(t, 2, 16, 2000) for t in ("3.1", "3.2")],
+    *[(t, 3, 10, 2000) for t in ("4.1", "4.2")],
+])
+def test_array_form_equals_scalar_predictor_on_every_class(theorem, p, n, classes):
+    """On every ratio class c (or `classes` seeded ones), one pair
+    (cb, b) with a random b != 0, plus the pairs with a zero: the array
+    form gives the scalar predictor's count (-1 for None) and case."""
+    spec = closedform.THEOREMS[theorem]
+    f = Field(p, n)
+    q = f.order
+    rng = random.Random(q)
+    ratios = range(1, q) if classes is None else rng.sample(range(1, q), classes)
+    pairs = [(0, 0), (0, 1), (1, 0)]
+    for c in ratios:
+        b = f.element(rng.randrange(1, q))
+        pairs.append(((f.element(c) * b).idx, b.idx))
+    counts, case_ids = spec.predict_vec(f, *map(list, zip(*pairs)))
+    for (ia, ib), count, case in zip(pairs, counts.tolist(), case_ids.tolist()):
+        out = spec.predict(f, ia, ib)
+        assert (None if count < 0 else count, spec.cases[case]) == (out.count, out.case)
+
+
+def test_array_forms_check_their_hypotheses(monkeypatch):
+    for theorem, f in [("3.1", Field(3, 2)), ("3.2", Field(3, 2)), ("4.1", Field(2, 4)),
+                       ("4.1", Field(5, 1)), ("4.2", Field(5, 1))]:
+        with pytest.raises(ValueError):
+            closedform.THEOREMS[theorem].predict_vec(f, [1], [2])
+    with pytest.raises(ValueError):
+        predict_x7_char2_vec(Field(2, 4), [16], [1])
+    # a subfield class whose affine count is not 2^m is a broken reduction
+    f = Field(2, 6)
+    sub = next(c for c in range(2, f.order) if f.tables.frob_map(3)[c] == c)
+    monkeypatch.setattr(closedform, "_affine_counts", lambda t, c, m: np.zeros_like(c))
+    with pytest.raises(RuntimeError, match="subfield"):
+        closedform.predict_x2m1p3_vec(f, [sub], [1])
+
+
+# ---------------------------------------------------------------------------
 # verification harness
 # ---------------------------------------------------------------------------
 
@@ -266,9 +316,9 @@ def _per_pair_report(theorem, field, sample=None, seed=None):
 
 
 @pytest.mark.parametrize("theorem,p,n", [
-    *[(t, 2, n) for t in ("3.1", "3.2") for n in (4, 5, 6, 7)],
-    *[("4.1", p, n) for p, n in ((3, 2), (3, 4), (3, 6), (7, 2), (11, 2), (13, 2))],
-    *[("4.2", 3, n) for n in (2, 4, 5, 6)],
+    *[(t, 2, n) for t in ("3.1", "3.2") for n in (4, 5, 6, 7, 12, 16)],
+    *[("4.1", p, n) for p, n in ((3, 2), (3, 4), (3, 6), (7, 2), (11, 2), (13, 2), (3, 9))],
+    *[("4.2", 3, n) for n in (2, 4, 5, 6, 10)],
 ])
 def test_verify_class_judgment_equals_per_pair_walk(theorem, p, n):
     # on GF(2^4), 700 draws exceed the q^2 = 256 pairs, so pairs and
@@ -282,8 +332,9 @@ def test_verify_class_judgment_equals_per_pair_walk(theorem, p, n):
 
 
 def test_verify_mismatch_lists_every_pair_of_the_class(monkeypatch, capsys):
-    """A predictor wrong on the one ratio class a/b = x: full mode lists
-    its q - 1 pairs and fails; the CLI exits 1."""
+    """A predictor wrong on the one ratio class a/b = x, in its scalar and
+    its array form alike: full mode lists its q - 1 pairs and fails; the
+    CLI exits 1."""
     def wrong_on_x(field, a, b):
         out = predict_x7_char2(field, a, b)
         a, b = field.element(a), field.element(b)
@@ -291,8 +342,16 @@ def test_verify_mismatch_lists_every_pair_of_the_class(monkeypatch, capsys):
             return PredictionOutcome(out.count + 1, "wrong on a/b = x")
         return out
 
+    def wrong_on_x_vec(field, a, b):
+        counts, case_ids = predict_x7_char2_vec(field, a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        on_x = (b != 0) & (a == field.tables.mul_vec(b, 2))
+        return (np.where(on_x, counts + 1, counts),
+                np.where(on_x, len(closedform.X7_CHAR2_CASES), case_ids))
+
     monkeypatch.setitem(closedform.THEOREMS, "3.1", dataclasses.replace(
-        closedform.THEOREMS["3.1"], predict=wrong_on_x))
+        closedform.THEOREMS["3.1"], predict=wrong_on_x, predict_vec=wrong_on_x_vec,
+        cases=closedform.X7_CHAR2_CASES + ("wrong on a/b = x",)))
     f = Field(2, 4)
     x = f.element(2)
     actual = make_sozd_counter(PowerFunction(f, 7))(2, 1)
@@ -306,12 +365,31 @@ def test_verify_mismatch_lists_every_pair_of_the_class(monkeypatch, capsys):
     sampled = verify_theorem("3.1", f, sample=600, seed=2)
     assert sampled.mismatches
     assert sampled.to_json() == _per_pair_report("3.1", f, 600, 2).to_json()
+    monkeypatch.setattr(closedform, "SAMPLE_CHUNK", 7)  # the listing pass redraws
+    assert verify_theorem("3.1", f, sample=600, seed=2).to_json() == sampled.to_json()
 
     assert cli.main(["verify", "3.1", "2", "4", "--format", "csv"]) == 1
     header, row = capsys.readouterr().out.splitlines()
     record = dict(zip(header.split(","), row.split(",")))
     assert record["mismatch_count"] == str(f.order - 1)
     assert record["passed"] == "False"
+
+
+def test_sampled_verify_memory_is_bounded(monkeypatch):
+    """Sampled pairs are drawn in chunks: 10^6 draws stay far below the
+    24 MiB that int64 pair and key arrays over all draws would take, and
+    the report does not depend on the chunk size."""
+    f = Field(2, 8)
+    tracemalloc.start()
+    try:
+        report = verify_theorem("3.1", f, sample=10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 10 ** 6
+    assert peak < 16 * 2 ** 20
+    monkeypatch.setattr(closedform, "SAMPLE_CHUNK", 1000)
+    assert verify_theorem("3.1", f, sample=10 ** 6, seed=1).to_json() == report.to_json()
 
 
 def test_verify_informational_small_n_note():
