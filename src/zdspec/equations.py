@@ -1,16 +1,21 @@
 """Root solvers over GF(2^n) and the brute-force oracles that check them.
 
-Covers three families used by the closed-form predictors:
+Each of the three families used by the closed-form predictors has a fast
+solver on the field's lookup tables (exp/log products, trace tables) and
+an independent oracle:
 
-* quadratics a x^2 + b x + c, solved through the Artin-Schreier form
-  y^2 + y = ac/b^2 (trace trichotomy decides the root count),
-* affine trinomials z^(2^k) + z + B, solved by the explicit summation
-  formula with subfield-trace solvability test, plus an independent
-  GF(2)-linear-system solver,
-* quartic x^4 + a2 x^2 + a1 x + a0 factor-shape classification through
-  the companion cubic y^3 + a2 y + a1 and trace conditions, with a
-  brute-force shape oracle that counts roots in the degree-2 and
-  degree-3 extensions as Frobenius gcd degrees, without building them.
+* quadratics a x^2 + b x + c: quadratic_batch, under
+  solve_quadratic_char2, maps to y^2 + y = ac/b^2 and decides by the
+  trace trichotomy; brute_roots evaluates the polynomial at every
+  element, sharing only mul_vec and add_vec with the solver.
+* affine trinomials z^(2^k) + z + B: solve_trinomial applies the
+  summation formula with the subfield-trace test by table lookups;
+  solve_trinomial_linear solves the GF(2)-linear system with scalar
+  Field arithmetic and gf2_eliminate.
+* quartics x^4 + a2 x^2 + a1 x + a0: classify_quartic reads the factor
+  shape from the companion cubic y^3 + a2 y + a1 and absolute traces;
+  brute_factor_shape counts roots in the degree-2 and degree-3
+  extensions as Frobenius gcd degrees, with scalar arithmetic only.
 
 Every solver returns verified data: trinomial roots are substituted back
 before being returned, and the quartic classifier cross-checks its shape
@@ -20,6 +25,7 @@ against the base-field root count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +77,7 @@ class TrinomialEq:
 
     def __post_init__(self):
         _require_char2(self.field)
+        object.__setattr__(self, "k", operator.index(self.k))
         if not 0 < self.k < self.field.n:
             raise ValueError(f"k must satisfy 0 < k < {self.field.n}, got {self.k}")
         object.__setattr__(self, "B", self.field.element(self.B))
@@ -171,10 +178,10 @@ def quadratic_batch(field: Field, a, b, c_indices=None):
     if ib == 0:
         # unique root sqrt(c / a)
         counts[:] = 1
-        r1 = t.sqrt_map[t.mul_vec(C, field._inv_idx(ia))]
+        r1 = t.sqrt_map[t.mul_vec(C, t.inv(ia))]
         return counts, r1, r2
-    scale = field._mul_idx(ia, field._inv_idx(field._mul_idx(ib, ib)))  # a / b^2
-    ba = field._mul_idx(ib, field._inv_idx(ia))                         # b / a
+    scale = t.mul(ia, t.inv(t.mul(ib, ib)))  # a / b^2
+    ba = t.mul(ib, t.inv(ia))                # b / a
     arg = t.mul_vec(C, scale)
     solvable = t.trace1[arg] == 0
     y0 = t.artin_schreier[arg[solvable]]
@@ -191,15 +198,8 @@ def solve_quadratic_char2(eq: QuadraticChar2) -> frozenset[FieldElement]:
     The count follows the trace trichotomy: one root when b = 0, else
     two or zero as the absolute trace of ac/b^2 is 0 or 1.
     """
-    field = eq.field
-    counts, r1, r2 = quadratic_batch(field, eq.a, eq.b, np.array([eq.c.idx]))
-    n = int(counts[0])
-    roots = []
-    if n >= 1:
-        roots.append(FieldElement(field, int(r1[0])))
-    if n == 2:
-        roots.append(FieldElement(field, int(r2[0])))
-    return frozenset(roots)
+    counts, r1, r2 = quadratic_batch(eq.field, eq.a, eq.b, np.array([eq.c.idx]))
+    return frozenset(FieldElement(eq.field, int(r[0])) for r in (r1, r2)[:int(counts[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def solve_quadratic_char2(eq: QuadraticChar2) -> frozenset[FieldElement]:
 def trinomial_solvability(eq: TrinomialEq) -> FieldElement:
     """The obstruction Tr from GF(2^n) onto GF(2^d) applied to B; the
     trinomial has roots exactly when this vanishes."""
-    return eq.field.trace(eq.B, eq.d)
+    return FieldElement(eq.field, int(eq.field.tables.trace_map(eq.d)[eq.B.idx]))
 
 
 def solve_trinomial(eq: TrinomialEq) -> frozenset[FieldElement]:
@@ -220,30 +220,25 @@ def solve_trinomial(eq: TrinomialEq) -> frozenset[FieldElement]:
     with nonzero subfield trace, and the full 2^d-root coset x + GF(2^d)
     is verified by substitution before being returned.
     """
-    field, k, B = eq.field, eq.k, eq.B
-    d, l = eq.d, eq.l
-    if not trinomial_solvability(eq).is_zero:
+    field, k, B = eq.field, eq.k, eq.B.idx
+    t = field.tables
+    tr = t.trace_map(eq.d)
+    if tr[B]:
         return frozenset()
-    c = None
-    for i in range(1, field.order):
-        cand = FieldElement(field, i)
-        if not field.trace(cand, d).is_zero:
-            c = cand
-            break
+    c = next((i for i in range(1, field.order) if tr[i]), None)
     if c is None:  # trace onto a proper subfield is surjective; unreachable
         raise RuntimeError("no element with nonzero subfield trace")
-    tc = field.trace(c, d)
-    inner = field.zero
-    total = field.zero
-    for i in range(l):
-        inner = inner + c.frobenius(k * i)
-        total = total + inner * B.frobenius(k * i)
-    x = total / tc
-    roots = [x + delta for delta in field.subfield(d).elements()]
-    for r in roots:
-        if not (r.frobenius(k) + r + B).is_zero:
-            raise RuntimeError("summation formula produced a non-root")
-    return frozenset(roots)
+    inner = total = 0  # characteristic 2: xor adds indices
+    for i in range(eq.l):
+        inner ^= t.pow(c, 1 << (k * i))
+        total ^= t.mul(inner, t.pow(B, 1 << (k * i)))
+    x = t.mul(total, t.inv(int(tr[c])))
+    # GF(2^d)* is the subgroup of the powers of g^((q - 1) / (2^d - 1))
+    sub = t._explog[0][::(field.order - 1) // ((1 << eq.d) - 1)].tolist()
+    roots = [x ^ delta for delta in [0, *sub]]
+    if any(t.pow(r, 1 << k) ^ r ^ B for r in roots):
+        raise RuntimeError("summation formula produced a non-root")
+    return frozenset(FieldElement(field, r) for r in roots)
 
 
 def gf2_eliminate(cols, rhs: int, n: int) -> dict[int, tuple[int, int]] | None:
@@ -334,24 +329,19 @@ def classify_quartic(eq: QuarticEq):
     field = eq.field
     a2, a1, a0 = eq.a2, eq.a1, eq.a0
     cubic_shape, cubic_roots = classify_cubic(a2, a1)
-    a1sq_inv = (a1 * a1).inverse()
-
-    def tr(w: FieldElement) -> int:
-        return int(field.tables.trace1[w.idx])
-
+    t = field.tables
+    w0 = t.mul(a0.idx, t.inv(t.mul(a1.idx, a1.idx)))  # a0 / a1^2
+    traces = sorted(int(t.trace1[t.mul(w0, t.mul(r.idx, r.idx))]) for r in cubic_roots)
     if cubic_shape == (3,):
         shape = (1, 3)
     elif cubic_shape == (1, 2):
-        (r1,) = cubic_roots
-        shape = (1, 1, 2) if tr(a0 * r1 * r1 * a1sq_inv) == 0 else (4,)
+        shape = (1, 1, 2) if traces == [0] else (4,)
+    elif traces == [0, 0, 0]:
+        shape = (1, 1, 1, 1)
+    elif traces == [0, 1, 1]:
+        shape = (2, 2)
     else:
-        traces = sorted(tr(a0 * r * r * a1sq_inv) for r in cubic_roots)
-        if traces == [0, 0, 0]:
-            shape = (1, 1, 1, 1)
-        elif traces == [0, 1, 1]:
-            shape = (2, 2)
-        else:
-            raise RuntimeError(f"trace parity violated: {traces}")
+        raise RuntimeError(f"trace parity violated: {traces}")
     roots = brute_roots(field, [a0, a1, a2, field.zero, field.one])
     if len(roots) != shape.count(1):
         raise RuntimeError(

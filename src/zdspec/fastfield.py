@@ -12,8 +12,9 @@ so callers never branch on the characteristic to add or subtract.
 
 The exp/log tables are built by block doubling: multiplying a block of
 known powers by one constant is F_p-linear, so the build is O(q * n^2)
-numpy work in log2(q) steps plus n scalar products per step.  Scalar
-Field arithmetic stays the independent oracle for every table.
+numpy work in log2(q) steps plus n scalar products per step; mul, inv
+and pow read them for one element at a time, without Fermat inversion.
+Scalar Field arithmetic stays the independent oracle for every table.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class FieldTables:
         self.n = field.n
         self.q = field.order
         self._pow_cache: dict[int, np.ndarray] = {}
+        self._trace_cache: dict[int, np.ndarray] = {}
 
     # -- additive layer ------------------------------------------------------
 
@@ -149,13 +151,29 @@ class FieldTables:
         return _frozen(exp), _frozen(log)
 
     def mul_vec(self, a, b) -> np.ndarray:
+        # log[0] = -1 still indexes exp, and the mask discards that product
         exp, log = self._explog
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if nz.any():
-            out[nz] = exp[(log[a[nz]] + log[b[nz]]) % (self.q - 1)]
-        return out
+        a, b = np.asarray(a), np.asarray(b)
+        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % (self.q - 1)], 0)
+
+    def mul(self, i: int, j: int) -> int:
+        """i * j for two indices, by one exp/log lookup."""
+        exp, log = self._explog
+        return int(exp[(log[i] + log[j]) % (self.q - 1)]) if i and j else 0
+
+    def inv(self, i: int) -> int:
+        """1 / i by one lookup; ZeroDivisionError on 0."""
+        return self.pow(i, -1)
+
+    def pow(self, i: int, e: int) -> int:
+        """i^e by one lookup, for any integer e, with 0^0 = 1; 0 to a
+        negative power raises ZeroDivisionError, as in Field._pow_idx."""
+        if i == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            return int(e == 0)
+        exp, log = self._explog
+        return int(exp[int(log[i]) * e % (self.q - 1)])
 
     def pow_map(self, d: int) -> np.ndarray:
         """x -> x^d over all x, with 0^d = 0 (d >= 1, read with
@@ -190,12 +208,23 @@ class FieldTables:
     @cached_property
     def trace1(self) -> np.ndarray:
         """Absolute trace values in [0, p); scalar indices equal values."""
-        frob = self.frob_map(1)
-        acc = cur = self.indices
-        for _ in range(self.n - 1):
-            cur = frob[cur]
-            acc = self.add_vec(acc, cur)
-        return _frozen(acc)
+        return self.trace_map(1)
+
+    def trace_map(self, m: int) -> np.ndarray:
+        """x -> Tr onto GF(p^m), the sum of x^(p^(m i)) for i < n/m, over
+        all x; cached per divisor m.  Only frob_map(1) is read, so no
+        other power map is cached."""
+        if m < 1 or self.n % m:
+            raise ValueError(f"{m} does not divide {self.n}")
+        if m not in self._trace_cache:
+            frob = self.frob_map(1)
+            acc = cur = self.indices
+            for j in range(1, self.n):
+                cur = frob[cur]
+                if j % m == 0:
+                    acc = self.add_vec(acc, cur)
+            self._trace_cache[m] = _frozen(acc)
+        return self._trace_cache[m]
 
     @cached_property
     def sqrt_map(self) -> np.ndarray:

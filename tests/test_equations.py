@@ -183,6 +183,32 @@ def test_trinomial_three_way_agreement_and_coset_structure():
                 assert base + delta in s1
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_trinomial_formula_equals_linear_solver_exhaustively(n):
+    f = Field(2, n)
+    for k in range(1, n):
+        for B in f:
+            eq = TrinomialEq(f, k, B)
+            assert solve_trinomial(eq) == solve_trinomial_linear(eq)
+
+
+def test_trinomial_solver_caches_only_trace_tables():
+    """One solvable trinomial per k at 2^16 reads the trace table of each
+    d = gcd(k, n) and caches no power map beyond the frob_map(1) that
+    trace1 itself reads."""
+    f = Field(2, 16)
+    t = f.tables
+    t.trace1
+    powers = set(t._pow_cache)
+    x = f.x
+    for k in range(1, f.n):
+        eq = TrinomialEq(f, k, x.frobenius(k) + x)
+        roots = solve_trinomial(eq)
+        assert x in roots and len(roots) == 2 ** eq.d
+    assert set(t._pow_cache) == powers
+    assert set(t._trace_cache) == {1, 2, 4, 8}
+
+
 @st.composite
 def gf2_systems(draw):
     n = draw(st.integers(1, 6))

@@ -442,6 +442,65 @@ def test_field_with_tables_is_freed_without_cyclic_gc(p, n):
         gc.enable()
 
 
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (2, 8), (2, 12), (3, 4), (3, 6)])
+def test_trace_map_is_the_relative_trace(p, n):
+    f = Field(p, n)
+    t = f.tables
+    assert t.trace_map(1) is t.trace1
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        tr = t.trace_map(m).tolist()
+        assert tr == [f.trace(e, m).idx for e in f]
+        assert t.trace_map(m) is t.trace_map(m)
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError):
+            t.trace_map(bad)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_scalar_lookups_match_scalar_arithmetic(p, n):
+    f = Field(p, n)
+    t = f.tables
+    q = f.order
+    for i in range(q):
+        assert [t.mul(i, j) for j in range(q)] == [f._mul_idx(i, j) for j in range(q)]
+        for e in (0, 1, 2, 5, q - 2, q - 1, q, 3 * q + 1, 2 ** 70):
+            assert t.pow(i, e) == f._pow_idx(i, e)
+        if i:
+            assert t.inv(i) == f._inv_idx(i)
+            for e in (-1, -2, -q):
+                assert t.pow(i, e) == f._pow_idx(i, e)
+    assert t.pow(0, 0) == 1 and t.pow(0, 1) == t.pow(0, q) == 0
+    for call in (lambda: t.inv(0), lambda: t.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            call()
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2)])
+def test_mul_vec_matches_scalar_products_in_every_shape(p, n):
+    import numpy as np
+
+    f = Field(p, n)
+    t = f.tables
+    q = f.order
+    idx = np.arange(q, dtype=np.int64)
+    table = [[f._mul_idx(i, j) for j in range(q)] for i in range(q)]
+    outs = {
+        "column-row": t.mul_vec(idx[:, None], idx),
+        "scalar-array": np.array([t.mul_vec(i, idx) for i in range(q)]),
+        "zero-d": np.array([[t.mul_vec(np.int64(i), np.int64(j)) for j in range(q)]
+                            for i in range(q)]),
+    }
+    for out in outs.values():
+        assert out.dtype == np.int64
+        assert out.tolist() == table
+    assert t.mul_vec(np.int64(q - 1), np.int64(q - 1)).shape == ()
+    empty = np.zeros(0, dtype=np.int64)
+    for a, b in ((empty, empty), (empty, q - 1), (idx[:, None], empty)):
+        out = t.mul_vec(a, b)
+        assert out.dtype == np.int64
+        assert out.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+
+
 def test_artin_schreier_table():
     f = Field(2, 6)
     t = f.tables

@@ -100,6 +100,16 @@ def test_integer_argument(entry):
         call(f, 3.0)
 
 
+def test_trinomial_k_is_read_at_construction():
+    f = Field(2, 4)
+    with pytest.raises(TypeError):
+        equations.TrinomialEq(f, 1.5, f.one)
+    eq = equations.TrinomialEq(f, np.int64(2), f.one)
+    assert type(eq.k) is int and eq.k == 2
+    assert eq == equations.TrinomialEq(f, 2, f.one)
+    assert equations.solve_trinomial(eq) == equations.solve_trinomial_linear(eq)
+
+
 def test_verify_sample_true_reads_as_one():
     report = closedform.verify_theorem("3.1", Field(2, 4), sample=True)
     assert type(report.pairs_checked) is int
