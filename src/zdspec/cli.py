@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         modulus = getattr(args, "modulus", None)
         args.modulus = _parse_modulus(modulus) if modulus else None
         rows = getattr(args, "rows", None)
-        args.rows = rows.split(",") if rows else None
+        args.rows = None if rows is None else rows.split(",")
         return COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ def _degenerate_char2(a: FieldElement, b: FieldElement) -> bool:
 def _log_ratio(tables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(log a - log b) mod (q - 1): the discrete log of a/b where ab != 0,
     and some valid exponent elsewhere."""
-    log = tables._explog[1]
+    log = tables.explog[1]
     return (log[a] - log[b]) % (tables.q - 1)
 
 
@@ -118,7 +118,7 @@ def predict_x7_char2_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("requires characteristic 2")
     tables = field.tables
     a, b = tables.index_array(a), tables.index_array(b)
-    exp, log = tables._explog
+    exp, log = tables.explog
     m = field.order - 1
     lc = _log_ratio(tables, a, b)
     c = exp[lc]
@@ -244,7 +244,7 @@ def predict_x2m1p3_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("needs n >= 2")
     tables = field.tables
     a, b = tables.index_array(a), tables.index_array(b)
-    c = tables._explog[0][_log_ratio(tables, a, b)]
+    c = tables.explog[0][_log_ratio(tables, a, b)]
     count = _affine_counts(tables, c, m)
     generic = (a != 0) & (b != 0) & (a != b)
     sub = generic & (tables.frob_map(m)[c] == c) if n % 2 == 0 else np.zeros_like(generic)
@@ -550,11 +550,11 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
     q - 1 pairs (ct, t) of each ratio c: 3q - 2 judgments for q^2 pairs.
     Otherwise `sample` pairs (default DEFAULT_SAMPLE; read with
     operator.index, and below 1 raises ValueError) are drawn with the
-    recorded seed, in chunks of SAMPLE_CHUNK, and the first drawn pair of
-    each key is judged.  Unpredicted entries are brute-forced and listed
-    apart; both lists hold every pair (every draw, in sampled mode),
-    sorted.  The scalar predictor is the per-pair statement the tests
-    hold this against.
+    recorded seed (default 0; also read with operator.index), in chunks
+    of SAMPLE_CHUNK, and the first drawn pair of each key is judged.
+    Unpredicted entries are brute-forced and listed apart; both lists
+    hold every pair (every draw, in sampled mode), sorted.  The scalar
+    predictor is the per-pair statement the tests hold this against.
     """
     spec = THEOREMS.get(str(theorem))
     if spec is None:
@@ -563,18 +563,19 @@ def verify_theorem(theorem: str, field: Field, *, sample: int | None = None,
         sample = operator.index(sample)
         if sample < 1:
             raise ValueError(f"sample size must be at least 1, got {sample}")
+    seed = None if seed is None else operator.index(seed)
     notes = spec.check(field)
     d = spec.exponent(field)
     q = field.order
     m = q - 1
     tables = field.tables
-    exp = tables._explog[0]
+    exp = tables.explog[0]
 
     if sample is None and q <= FULL_THRESHOLD:
         mode, seed_used, total = "full", None, q * q
         # one pair per key, in key order: (g^k, 1), then (0, b), then (a, 0)
         zeros = np.zeros(q, dtype=np.int64)
-        rep_a = np.concatenate([exp, zeros, tables.indices[1:]])
+        rep_a = np.concatenate([exp[:m], zeros, tables.indices[1:]])
         rep_b = np.concatenate([np.ones(m, dtype=np.int64), tables.indices, zeros[1:]])
         keys = np.arange(3 * q - 2)
     else:

@@ -234,7 +234,7 @@ def solve_trinomial(eq: TrinomialEq) -> frozenset[FieldElement]:
         total ^= t.mul(inner, t.pow(B, 1 << (k * i)))
     x = t.mul(total, t.inv(int(tr[c])))
     # GF(2^d)* is the subgroup of the powers of g^((q - 1) / (2^d - 1))
-    sub = t._explog[0][::(field.order - 1) // ((1 << eq.d) - 1)].tolist()
+    sub = t.explog[0][:t.q - 1:(t.q - 1) // ((1 << eq.d) - 1)].tolist()
     roots = [x ^ delta for delta in [0, *sub]]
     if any(t.pow(r, 1 << k) ^ r ^ B for r in roots):
         raise RuntimeError("summation formula produced a non-root")

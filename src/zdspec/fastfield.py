@@ -10,10 +10,14 @@ coefficient vector read in base p): add_vec and sub_vec are the one
 vectorized adder of indices, xor for p = 2 and digitwise mod p otherwise,
 so callers never branch on the characteristic to add or subtract.
 
-The exp/log tables are built by block doubling: multiplying a block of
-known powers by one constant is F_p-linear, so the build is O(q * n^2)
-numpy work in log2(q) steps plus n scalar products per step; mul, inv
-and pow read them for one element at a time, without Fermat inversion.
+It also owns the log layout.  FieldTables.explog is the one
+multiplicative core: exp lists the powers of the generator twice, then
+zeros, and log[0] points into the zeros, so exp[log[a] + log[b]] = a * b
+with no zero mask and every multiplicative table is one gather.  The
+pair is built by block doubling: multiplying a block of known powers by
+one constant is F_p-linear, so the build is O(q * n^2) numpy work in
+log2(q) steps plus n scalar products per step; mul, inv and pow read it
+for one element at a time, without Fermat inversion.
 Scalar Field arithmetic stays the independent oracle for every table.
 """
 
@@ -128,38 +132,41 @@ class FieldTables:
         return self.digits.take(a, 0) @ self.digits.take(cols, 0) % self.p @ self._pw
 
     @cached_property
-    def _explog(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp[i] = g^i and its inverse log (log[0] = -1).  The first 64
-        powers come from scalar products, cheaper than doubling on tiny
-        fields; the rest by block doubling: once g^0 .. g^(B-1) are known,
-        the next block is g^B times them, one _scale_vec per step."""
+    def explog(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log), m = q - 1: log[x] in [0, m) is the log of x != 0 to
+        the generator g and log[0] = 2m; exp[i] = g^(i mod m) below 2m and
+        0 up to 4m.  So exp[log[a] + log[b]] = a * b for all a, b, with no
+        mask, and exp[:m] lists g^0 .. g^(m-1).  The first 64 powers are
+        scalar products (cheaper on tiny fields); then block doubling: once
+        g^0 .. g^(B-1) are known, g^B times them is the next block."""
         q = self.q
-        exp = np.ones(max(q - 1, 1), dtype=np.int64)
+        m = q - 1
+        exp = np.zeros(4 * m + 1, dtype=np.int64)
+        exp[0] = 1
         g = self.generator
-        done = min(q - 1, 64)
+        done = min(m, 64)
         for i in range(1, done):
             exp[i] = self.field._mul_idx(int(exp[i - 1]), g)
-        while done < q - 1:
-            step = min(done, q - 1 - done)
+        while done < m:
+            step = min(done, m - done)
             h = self.field._mul_idx(int(exp[done - 1]), g)
             exp[done:done + step] = self._scale_vec(exp[:step], h)
             done += step
-        if self.field._mul_idx(int(exp[-1]), g) != 1:
+        if self.field._mul_idx(int(exp[m - 1]), g) != 1:
             raise RuntimeError("generator order check failed")
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(len(exp), dtype=np.int64)
+        exp[m:2 * m] = exp[:m]
+        log = np.full(q, 2 * m, dtype=np.int64)
+        log[exp[:m]] = np.arange(m, dtype=np.int64)
         return _frozen(exp), _frozen(log)
 
     def mul_vec(self, a, b) -> np.ndarray:
-        # log[0] = -1 still indexes exp, and the mask discards that product
-        exp, log = self._explog
-        a, b = np.asarray(a), np.asarray(b)
-        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % (self.q - 1)], 0)
+        exp, log = self.explog
+        return exp[log[a] + log[b]]
 
     def mul(self, i: int, j: int) -> int:
         """i * j for two indices, by one exp/log lookup."""
-        exp, log = self._explog
-        return int(exp[(log[i] + log[j]) % (self.q - 1)]) if i and j else 0
+        exp, log = self.explog
+        return int(exp[log[i] + log[j]])
 
     def inv(self, i: int) -> int:
         """1 / i by one lookup; ZeroDivisionError on 0."""
@@ -172,7 +179,7 @@ class FieldTables:
             if e < 0:
                 raise ZeroDivisionError("0 has no multiplicative inverse")
             return int(e == 0)
-        exp, log = self._explog
+        exp, log = self.explog
         return int(exp[int(log[i]) * e % (self.q - 1)])
 
     def pow_map(self, d: int) -> np.ndarray:
@@ -182,28 +189,17 @@ class FieldTables:
         if d < 1:
             raise ValueError("exponent must be >= 1")
         cached = self._pow_cache.get(d)
-        if cached is not None:
-            return cached
-        q = self.q
-        out = np.zeros(q, dtype=np.int64)
-        if q == 2:
-            out[1] = 1
-        else:
-            e = d % (q - 1)
-            if e == 0:
-                out[1:] = 1
-            else:
-                exp, log = self._explog
-                out[1:] = exp[(log[1:] * e) % (q - 1)]
-        self._pow_cache[d] = _frozen(out)
-        return out
+        if cached is None:
+            exp, log = self.explog
+            m = self.q - 1
+            cached = exp[log * (d % m) % m]
+            cached[0] = 0
+            self._pow_cache[d] = _frozen(cached)
+        return cached
 
     def frob_map(self, k: int) -> np.ndarray:
         """x -> x^(p^k) over all x."""
-        k %= self.n
-        if k == 0:
-            return self.indices
-        return self.pow_map(self.p ** k)
+        return self.pow_map(self.p ** (k % self.n))
 
     @cached_property
     def trace1(self) -> np.ndarray:
@@ -212,8 +208,9 @@ class FieldTables:
 
     def trace_map(self, m: int) -> np.ndarray:
         """x -> Tr onto GF(p^m), the sum of x^(p^(m i)) for i < n/m, over
-        all x; cached per divisor m.  Only frob_map(1) is read, so no
-        other power map is cached."""
+        all x; cached per divisor m (read with operator.index).  Only
+        frob_map(1) is read, so no other power map is cached."""
+        m = operator.index(m)
         if m < 1 or self.n % m:
             raise ValueError(f"{m} does not divide {self.n}")
         if m not in self._trace_cache:
@@ -226,15 +223,12 @@ class FieldTables:
             self._trace_cache[m] = _frozen(acc)
         return self._trace_cache[m]
 
-    @cached_property
+    @property
     def sqrt_map(self) -> np.ndarray:
-        """Inverse of squaring (characteristic 2, where it is a bijection)."""
+        """Inverse of squaring (p = 2, where it is the bijection x^(2^(n-1)))."""
         if self.p != 2:
             raise ValueError("square roots are tabulated only for p = 2")
-        sq = self.pow_map(2)
-        out = np.empty(self.q, dtype=np.int64)
-        out[sq] = self.indices
-        return _frozen(out)
+        return self.frob_map(self.n - 1)
 
     @cached_property
     def artin_schreier(self) -> np.ndarray:
@@ -253,11 +247,11 @@ class FieldTables:
 
     @cached_property
     def quadchar(self) -> np.ndarray:
-        """Quadratic character per element: 0 on zero, otherwise +-1 (p odd)."""
+        """Quadratic character: 0 on zero, else +1 exactly when log x is
+        even, since the generator is a non-square (p odd)."""
         if self.p == 2:
             raise ValueError("quadratic character needs odd characteristic")
-        t = self.pow_map((self.q - 1) // 2)
-        out = np.where(t == 1, 1, -1).astype(np.int64)
+        out = 1 - 2 * (self.explog[1] % 2)
         out[0] = 0
         return _frozen(out)
 

@@ -402,7 +402,9 @@ class Field:
         return FieldElement(self, self._frob_idx(e.idx, k))
 
     def trace(self, e: "FieldElement", m: int = 1) -> "FieldElement":
-        """Relative trace onto GF(p^m): sum of e^(p^(m*i)) for i < n/m."""
+        """Relative trace onto GF(p^m): sum of e^(p^(m*i)) for i < n/m (m
+        read with operator.index)."""
+        m = operator.index(m)
         if m < 1 or self.n % m:
             raise ValueError(f"{m} does not divide {self.n}")
         e = self.element(e)
@@ -563,6 +565,7 @@ class SubfieldMap:
     __slots__ = ("field", "m")
 
     def __init__(self, field: Field, m: int):
+        m = operator.index(m)
         if m < 1 or field.n % m:
             raise ValueError(f"{m} does not divide {field.n}")
         self.field = field

@@ -177,11 +177,11 @@ def _gather_table(field: Field, row0: np.ndarray, row1: np.ndarray,
     for a != 0, gathered in log coordinates a block of rows at a time."""
     q = field.order
     m = q - 1
-    exp, log = field.tables._explog
+    exp, log = field.tables.explog
     out = np.empty((q, q), dtype=np.int64)
     out[0] = row0
     out[1:, 0] = row1[0]
-    cyclic = np.tile(row1[exp], 2)
+    cyclic = row1[exp[:2 * m]]
     log_b = log[1:]
     shift = (-(e % m) * log_b) % m
     step = max(1, _BLOCK // q)
@@ -203,7 +203,8 @@ def make_sozd_counter(fn) -> Callable[[int, int], int]:
     q = fn.field.order
     m = q - 1
     row = power_rows(fn)[1].tolist()
-    exp, log = (t.tolist() for t in fn.field.tables._explog)
+    exp, log = fn.field.tables.explog
+    exp, log = exp[:m].tolist(), log.tolist()
 
     def count(ia: int, ib: int) -> int:
         if ia == 0 or ib == 0:

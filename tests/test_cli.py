@@ -219,6 +219,13 @@ def test_survey_unknown_key(capsys):
     assert "unknown survey row" in err
 
 
+@pytest.mark.parametrize("rows", ["", "inv-n6,"])
+def test_survey_empty_key_is_usage_error(capsys, rows):
+    code, out, err = run(capsys, "survey", "--rows", rows)
+    assert code == 2 and out == ""
+    assert "unknown survey row" in err
+
+
 def test_survey_list(capsys, tmp_path):
     code, out, _ = run(capsys, "survey", "--list")
     assert code == 0

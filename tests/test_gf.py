@@ -356,6 +356,19 @@ def test_subfield_map():
         f64.subfield(4)
 
 
+def test_subfield_degree_is_an_integer():
+    import numpy as np
+
+    f = Field(2, 6)
+    e = f.element(37)
+    assert f.subfield(np.int64(3)).indices() == f.subfield(3).indices()
+    assert f.trace(e, np.int64(3)) == f.trace(e, 3)
+    assert f.tables.trace_map(np.int64(3)) is f.tables.trace_map(3)
+    for call in (f.subfield, lambda m: f.trace(e, m), f.tables.trace_map):
+        with pytest.raises(TypeError):
+            call(3.0)
+
+
 # ---------------------------------------------------------------------------
 # numpy tables agree with object arithmetic
 # ---------------------------------------------------------------------------
@@ -378,7 +391,7 @@ def test_tables_match_object_ops(p, n):
     for i in range(q):
         assert int(pm[i]) == f._pow_idx(i, 7)
         assert int(tr[i]) == f.trace(f.element(i)).idx
-    exp, log = t._explog
+    exp, log = t.explog
     for i in range(1, q):
         assert int(exp[log[i]]) == i
     vals = t.eval_poly([1, 0, 1])  # x^2 + 1
@@ -400,15 +413,18 @@ def test_explog_is_the_powers_of_the_generator(p, n, modulus):
     f = Field(p, n, modulus)
     if modulus is not None:
         assert f.modulus != find_irreducible(p, n)
-    exp, log = f.tables._explog
+    exp, log = f.tables.explog
     g = f.tables.generator
+    m = f.order - 1
+    assert len(exp) == 4 * m + 1
     cur = 1
-    for i in range(f.order - 1):  # g^i by repeated scalar products
-        assert int(exp[i]) == cur
+    for i in range(m):  # g^i by repeated scalar products, in both copies
+        assert int(exp[i]) == int(exp[m + i]) == cur
         cur = f._mul_idx(cur, g)
     assert cur == 1
-    assert int(log[0]) == -1
-    assert log[exp].tolist() == list(range(f.order - 1))
+    assert not exp[2 * m:].any()
+    assert int(log[0]) == 2 * m
+    assert log[exp[:m]].tolist() == list(range(m))
 
 
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
@@ -417,13 +433,16 @@ def test_explog_at_scale_is_a_homomorphism(p, n):
 
     f = Field(p, n)
     q = f.order
-    exp, log = f.tables._explog
-    assert np.array_equal(np.sort(exp), np.arange(1, q))
-    assert np.array_equal(log[exp], np.arange(q - 1))
+    m = q - 1
+    exp, log = f.tables.explog
+    assert np.array_equal(np.sort(exp[:m]), np.arange(1, q))
+    assert np.array_equal(exp[m:2 * m], exp[:m])
+    assert not exp[2 * m:].any() and len(exp) == 4 * m + 1
+    assert np.array_equal(log[exp[:m]], np.arange(m)) and int(log[0]) == 2 * m
     rng = random.Random(q)
     for _ in range(200):
-        i, j = rng.randrange(q - 1), rng.randrange(q - 1)
-        assert int(exp[(i + j) % (q - 1)]) == f._mul_idx(int(exp[i]), int(exp[j]))
+        i, j = rng.randrange(m), rng.randrange(m)
+        assert int(exp[i + j]) == f._mul_idx(int(exp[i]), int(exp[j]))
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
@@ -456,7 +475,8 @@ def test_trace_map_is_the_relative_trace(p, n):
             t.trace_map(bad)
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+# GF(2), GF(3) and GF(4): the products 0 * 0 read the last entry of exp
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (2, 1), (3, 1), (2, 2)])
 def test_scalar_lookups_match_scalar_arithmetic(p, n):
     f = Field(p, n)
     t = f.tables
@@ -475,7 +495,7 @@ def test_scalar_lookups_match_scalar_arithmetic(p, n):
             call()
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 2), (3, 1), (2, 2)])
 def test_mul_vec_matches_scalar_products_in_every_shape(p, n):
     import numpy as np
 
@@ -499,6 +519,31 @@ def test_mul_vec_matches_scalar_products_in_every_shape(p, n):
         out = t.mul_vec(a, b)
         assert out.dtype == np.int64
         assert out.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 1), (3, 3), (5, 2)])
+def test_pow_map_matches_scalar_powers(p, n):
+    f = Field(p, n)
+    q = f.order
+    for d in (1, 2, q - 2, q - 1, q, 2 * (q - 1), 3 * q + 1):
+        if d >= 1:
+            expect = [0] + [f._pow_idx(i, d) for i in range(1, q)]
+            assert f.tables.pow_map(d).tolist() == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sqrt_map_inverts_squaring(n):
+    f = Field(2, n)
+    t = f.tables
+    assert t.sqrt_map[t.pow_map(2)].tolist() == list(range(2 ** n))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 3), (7, 2), (11, 1)])
+def test_quadchar_matches_quadratic_character(p, n):
+    f = Field(p, n)
+    t = f.tables
+    assert t.quadchar.tolist() == [f.quadratic_character(e) for e in f]
+    assert not t._pow_cache
 
 
 def test_artin_schreier_table():

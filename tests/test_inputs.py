@@ -88,6 +88,8 @@ INTEGER_ARGS = {
     "FieldTables.pow_map": lambda f, v: f.tables.pow_map(v).tolist(),
     "verify_theorem-sample": lambda f, v: closedform.verify_theorem(
         "3.1", f, sample=v, seed=1).to_json(),
+    "verify_theorem-seed": lambda f, v: closedform.verify_theorem(
+        "3.1", f, sample=5, seed=v).to_json(),
 }
 
 
@@ -114,3 +116,9 @@ def test_verify_sample_true_reads_as_one():
     report = closedform.verify_theorem("3.1", Field(2, 4), sample=True)
     assert type(report.pairs_checked) is int
     assert '"pairs_checked": 1,' in report.to_json()
+
+
+def test_verify_seed_true_reads_as_one():
+    report = closedform.verify_theorem("3.1", Field(2, 4), sample=5, seed=True)
+    assert type(report.seed) is int
+    assert '"seed": 1,' in report.to_json()
