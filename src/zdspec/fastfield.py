@@ -10,14 +10,32 @@ coefficient vector read in base p): add_vec and sub_vec are the one
 vectorized adder of indices, xor for p = 2 and digitwise mod p otherwise,
 so callers never branch on the characteristic to add or subtract.
 
+For odd p the digits are added in packed lanes (SWAR, after Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).
+pack[i] holds digit j of i in lane j, bits w j .. w j + w - 1 of one
+int64 (int32 when the lanes fit 31 bits), with w = bit_length(p) + 1.
+A lane sum of two digits is at most 2p - 2 < 2^w, so lanes never carry
+into each other; a - b is computed as a + (p - b), whose lanes lie in
+[1, 2p - 1].  One correction takes every
+lane mod p: add 2^(w-1) - p to each lane, read its top bit (set exactly
+when the lane was >= p) and subtract p there.  The result goes back to
+a canonical index through lookups on groups of k lanes, in tables of at
+most 2^12 entries (p entries for a single lane when p > 2^12), sized to
+the n lanes the field has; for n = 1 the lane is the index.  The n lanes
+fit one int64 (n w <= 63) for every odd-p field whose 4q-entry exp table
+fits in memory: the smallest one that does not is GF(3^22).
+
 It also owns the log layout.  FieldTables.explog is the one
 multiplicative core: exp lists the powers of the generator twice, then
 zeros, and log[0] points into the zeros, so exp[log[a] + log[b]] = a * b
 with no zero mask and every multiplicative table is one gather.  The
 pair is built by block doubling: multiplying a block of known powers by
-one constant is F_p-linear, so the build is O(q * n^2) numpy work in
-log2(q) steps plus n scalar products per step; mul, inv and pow read it
-for one element at a time, without Fermat inversion.
+one constant h is F_p-linear, so it is fixed by the images h x^j of the
+basis.  For p = 2 these are n scalar products per step; for odd p one
+product of small digit arrays per step gives, for each group of k lanes,
+the packed h x^(g k) c for every digit combination c, and h * a is a
+lane sum of one lookup per group.  mul, inv and pow read the pair for
+one element at a time, without Fermat inversion.
 Scalar Field arithmetic stays the independent oracle for every table.
 """
 
@@ -61,6 +79,14 @@ class FieldTables:
         self.q = field.order
         self._pow_cache: dict[int, np.ndarray] = {}
         self._trace_cache: dict[int, np.ndarray] = {}
+        # the lane layout of pack (odd p): lanes of w bits, read k at a time
+        # through tables of at most 2^12 entries
+        w = self._w = self.p.bit_length() + 1
+        self._k = max(1, min(self.n, 12 // w))
+        self._ngroups = -(-self.n // self._k)
+        self._ones = sum(1 << (w * j) for j in range(self.n))
+        self._fix = ((1 << (w - 1)) - self.p) * self._ones
+        self._pones = self.p * self._ones
 
     # -- additive layer ------------------------------------------------------
 
@@ -81,29 +107,81 @@ class FieldTables:
         return arr.astype(np.int64, copy=False)
 
     @cached_property
-    def digits(self) -> np.ndarray:
-        """(q, n) matrix of base-p digits, constant term in column 0."""
-        x = np.arange(self.q, dtype=np.int64)
-        out = np.empty((self.q, self.n), dtype=np.int64)
-        for i in range(self.n):
-            out[:, i] = x % self.p
-            x //= self.p
+    def pack(self) -> np.ndarray:
+        """pack[i] holds the base-p digits of i, digit j in lane j (bits
+        w j .. w j + w - 1), in int32 when the n lanes fit 31 bits, which
+        halves the memory traffic of every lane operation, else int64."""
+        dtype = np.int32 if self.n * self._w <= 31 else np.int64
+        lane = np.arange(self.p, dtype=dtype)
+        out = np.zeros(1, dtype=dtype)
+        for j in range(self.n):
+            out = ((lane << (self._w * j))[:, None] + out).ravel()
         return _frozen(out)
 
+    def _lane_digits(self, x) -> np.ndarray:
+        """The n lanes of packed values x, along a new last axis."""
+        w = self._w
+        return np.right_shift(np.asarray(x)[..., None],
+                              np.arange(0, w * self.n, w)) & ((1 << w) - 1)
+
     @cached_property
-    def _pw(self) -> np.ndarray:
-        return _frozen(self.p ** np.arange(self.n, dtype=np.int64))
+    def digits(self) -> np.ndarray:
+        """(q, n) matrix of base-p digits, constant term in column 0, read
+        off pack; no kernel needs it."""
+        return _frozen(self._lane_digits(self.pack))
+
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pos, dloc, unpack) for groups of k lanes: pos lists the raw bits
+        of the p^k digit combinations of one group, dloc their digits, and
+        unpack[g][pos] their share p^(g k) * (0 .. p^k - 1) of the
+        canonical index."""
+        k = self._k
+        pos = self.pack[:self.p ** k]
+        powers = self.p ** (k * np.arange(self._ngroups, dtype=np.int64))
+        unpack = np.zeros((self._ngroups, int(pos[-1]) + 1), dtype=np.int64)
+        unpack[:, pos] = np.arange(len(pos)) * powers[:, None]
+        return pos, self._lane_digits(pos)[:, :k], _frozen(unpack)
+
+    def _group_bits(self, x, g: int):
+        """The raw bits of lane group g of packed values x."""
+        span = self._k * self._w
+        bits = x >> (g * span) if g else x
+        return bits & ((1 << span) - 1) if g < self._ngroups - 1 else bits
+
+    def _reduce(self, s):
+        """s with every lane in [0, 2p) taken mod p.  Adding 2^(w-1) - p to
+        a lane sets its top bit exactly when the lane is >= p; that bit,
+        moved to the bottom of its lane and times p, is what to subtract."""
+        top = s + self._fix
+        top >>= self._w - 1
+        top &= self._ones
+        top *= self.p
+        s -= top
+        return s
+
+    def _unpack(self, x):
+        """Canonical indices of packed values x whose lanes lie in [0, p)."""
+        if self.n == 1:
+            return x.astype(np.int64)
+        unpack = self._groups[2]
+        out = unpack[0].take(self._group_bits(x, 0))
+        for g in range(1, self._ngroups):
+            out += unpack[g].take(self._group_bits(x, g))
+        return out
 
     def add_vec(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        # take() gathers the digit rows several times faster than digits[a]
-        return (self.digits.take(a, 0) + self.digits.take(b, 0)) % self.p @ self._pw
+        return self._unpack(self._reduce(self.pack.take(a) + self.pack.take(b)))
 
     def sub_vec(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return (self.digits.take(a, 0) - self.digits.take(b, 0)) % self.p @ self._pw
+        # p - b_j >= 1 in every lane, so a + (p - b) never borrows
+        s = self.pack.take(a) - self.pack.take(b)
+        s += self._pones
+        return self._unpack(self._reduce(s))
 
     # -- multiplicative layer --------------------------------------------------
 
@@ -119,39 +197,70 @@ class FieldTables:
                 return cand
         raise RuntimeError("no multiplicative generator found")
 
+    @cached_property
+    def _xwin(self) -> np.ndarray:
+        """(G k, n, n) windows of the digits of x^0, x^1, ..: entry [j, c, i]
+        is digit c of x^(i + j), so _xwin @ digits(h) lists the digits of
+        h * x^j for every lane j a group can hold."""
+        xs = [1]
+        while len(xs) < self._ngroups * self._k + self.n - 1:
+            xs.append(self.field._mul_idx(xs[-1], self.p))
+        rows = self._lane_digits(self.pack.take(xs))
+        return np.lib.stride_tricks.sliding_window_view(rows, self.n, axis=0)
+
     def _scale_vec(self, a: np.ndarray, h: int) -> np.ndarray:
-        """h * a over an index array a.  Multiplication by a fixed h is
-        F_p-linear on coefficient vectors, so n scalar products h * x^j
-        (the images of the basis) fix it for the whole array."""
-        cols = [self.field._mul_idx(h, self.p ** j) for j in range(self.n)]
+        """h * a over an array a of indices (p = 2) or of packed values (odd
+        p).  Multiplication by a fixed h is F_p-linear on coefficient
+        vectors, so the images h * x^j of the basis fix it for the whole
+        array."""
         if self.p == 2:
+            cols = [self.field._mul_idx(h, self.p ** j) for j in range(self.n)]
             out = np.zeros_like(a)
             for j, col in enumerate(cols):
                 out ^= ((a >> j) & 1) * col
             return out
-        return self.digits.take(a, 0) @ self.digits.take(cols, 0) % self.p @ self._pw
+        # one table per group of k lanes: the packed h x^(g k) * c for every
+        # digit combination c of the group, from one product of digit arrays
+        p, k = self.p, self._k
+        pos, dloc, unpack = self._groups
+        cols = self._xwin @ self._lane_digits(self.pack[h]) % p
+        lane_unit = 1 << self._w * np.arange(self.n, dtype=np.int64)
+        vals = (dloc @ cols.reshape(self._ngroups, k, self.n)) % p @ lane_unit
+        tables = np.zeros_like(unpack)
+        tables[:, pos] = vals
+        out = tables[0].take(self._group_bits(a, 0))
+        for g in range(1, self._ngroups):
+            out += tables[g].take(self._group_bits(a, g))
+            out = self._reduce(out)
+        return out
 
     @cached_property
     def explog(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log), m = q - 1: log[x] in [0, m) is the log of x != 0 to
         the generator g and log[0] = 2m; exp[i] = g^(i mod m) below 2m and
         0 up to 4m.  So exp[log[a] + log[b]] = a * b for all a, b, with no
-        mask, and exp[:m] lists g^0 .. g^(m-1).  The first 64 powers are
-        scalar products (cheaper on tiny fields); then block doubling: once
-        g^0 .. g^(B-1) are known, g^B times them is the next block."""
+        mask, and exp[:m] lists g^0 .. g^(m-1).  The first 64 powers (16
+        for odd p, whose doubling step is cheap) are scalar products; then
+        block doubling: once g^0 .. g^(B-1) are known, g^B times them is the
+        next block, and g^(2B) is g^B squared."""
         q = self.q
         m = q - 1
         exp = np.zeros(4 * m + 1, dtype=np.int64)
         exp[0] = 1
         g = self.generator
-        done = min(m, 64)
+        done = min(m, 64 if self.p == 2 else 16)
         for i in range(1, done):
             exp[i] = self.field._mul_idx(int(exp[i - 1]), g)
+        h = self.field._mul_idx(int(exp[done - 1]), g)
+        # odd p doubles on packed values and unpacks once at the end
+        work = exp if self.p == 2 else self.pack.take(exp[:m])
         while done < m:
             step = min(done, m - done)
-            h = self.field._mul_idx(int(exp[done - 1]), g)
-            exp[done:done + step] = self._scale_vec(exp[:step], h)
+            work[done:done + step] = self._scale_vec(work[:step], h)
             done += step
+            h = self.field._mul_idx(h, h)
+        if self.p != 2:
+            exp[:m] = self._unpack(work)
         if self.field._mul_idx(int(exp[m - 1]), g) != 1:
             raise RuntimeError("generator order check failed")
         exp[m:2 * m] = exp[:m]
@@ -248,10 +357,11 @@ class FieldTables:
     @cached_property
     def quadchar(self) -> np.ndarray:
         """Quadratic character: 0 on zero, else +1 exactly when log x is
-        even, since the generator is a non-square (p odd)."""
+        even, since the generator is a non-square (p odd).  Held as int8,
+        an eighth of the memory of an index table."""
         if self.p == 2:
             raise ValueError("quadratic character needs odd characteristic")
-        out = 1 - 2 * (self.explog[1] % 2)
+        out = 1 - 2 * (self.explog[1] % 2).astype(np.int8)
         out[0] = 0
         return _frozen(out)
 

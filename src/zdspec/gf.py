@@ -170,6 +170,24 @@ def irreducibility_oracle(modulus: Sequence[int], p: int) -> bool:
     return not any(frobenius_gcd_degrees([zp.scalar(c) for c in m], n // 2))
 
 
+def _field_params(p: int, n: int, max_order: int) -> tuple[int, int]:
+    """(p, n) read with operator.index, checked cheapest first: the degree,
+    the order bound, and only then the primality of p, so that an
+    out-of-bound field is refused before any costly work."""
+    p, n = operator.index(p), operator.index(n)
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
+    # p^n >= 2^n > max_order once n reaches the bit length of max_order,
+    # so p ** n is only formed for small n
+    if n >= operator.index(max_order).bit_length() or p ** n > max_order:
+        raise ValueError(f"field order {p}^{n} exceeds the bound {max_order}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p, n
+
+
 def find_irreducible(p: int, n: int, max_order: int = DESK_SCALE_BOUND) -> tuple[int, ...]:
     """Smallest monic irreducible of degree n over Z_p.
 
@@ -177,12 +195,7 @@ def find_irreducible(p: int, n: int, max_order: int = DESK_SCALE_BOUND) -> tuple
     vector (constant term least significant), which makes the choice
     reproducible bit-for-bit.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if p ** n > max_order:
-        raise ValueError(f"field order {p}^{n} exceeds the bound {max_order}")
+    p, n = _field_params(p, n, max_order)
     for k in range(p ** n):
         cand = _digits(k, p, n) + [1]
         if n > 1 and cand[0] == 0:
@@ -205,12 +218,7 @@ class Field:
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None,
                  *, max_order: int = DESK_SCALE_BOUND):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if n < 1:
-            raise ValueError(f"degree must be >= 1, got {n}")
-        if p ** n > max_order:
-            raise ValueError(f"field order {p}^{n} exceeds the bound {max_order}")
+        p, n = _field_params(p, n, max_order)
         if modulus is None:
             modulus = find_irreducible(p, n, max_order)
         else:

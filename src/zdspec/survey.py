@@ -147,7 +147,8 @@ def run_survey(keys=None, *, cache_path: str | None = None) -> list[SurveyResult
     """Brute-force the selected catalog rows (all by default).
 
     Rows whose full scan would exceed EVAL_BUDGET point evaluations are
-    returned as "skipped: scale" without being computed.
+    returned as "skipped: scale" without being computed.  Each distinct
+    (p, n) field is built once per call and shared by its rows.
     """
     if keys is None:
         rows = list(CATALOG)
@@ -159,12 +160,15 @@ def run_survey(keys=None, *, cache_path: str | None = None) -> list[SurveyResult
                              f"known: {catalog_keys()}")
         rows = [by_key[k] for k in keys]
     out = []
+    fields: dict[tuple[int, int], Field] = {}  # fields are immutable: one per (p, n)
     for row in rows:
         q = row.order
         if q * q * q > EVAL_BUDGET:
             out.append(SurveyResult(row, None, "skipped: scale"))
             continue
-        field = canonical_field(row.p, row.n, cache_path)
+        field = fields.get((row.p, row.n))
+        if field is None:
+            field = fields[row.p, row.n] = canonical_field(row.p, row.n, cache_path)
         observed = sozd_uniformity(PowerFunction(field, row.d))
         status = "match" if observed in row.expected else "mismatch"
         out.append(SurveyResult(row, observed, status))

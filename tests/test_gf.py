@@ -1,10 +1,12 @@
 """Field construction, canonical ordering, and arithmetic laws."""
 
+import functools
 import gc
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdspec import cli, gf
 from zdspec.gf import (
@@ -117,14 +119,50 @@ def test_field_rejects_float_modulus_coefficients():
 
 
 def test_order_bound_is_checked_before_the_modulus(monkeypatch):
+    import numpy as np
+
     def never(*args):
         raise AssertionError("irreducibility tested before the order bound")
     monkeypatch.setattr(gf, "is_irreducible", never)
     modulus = (1, 1) + (0,) * 61 + (1,)  # x^63 + x + 1
     with pytest.raises(ValueError, match="exceeds the bound"):
         Field(2, 63, modulus)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Field(np.int64(2), 63, modulus)
+    # np.int64(2) ** 64 wraps to 0, which would pass the bound
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        find_irreducible(np.int64(2), 64)
     argv = ["table", "ddt", "2", "63", "3", "--modulus", ",".join(map(str, modulus))]
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("p,n", [
+    (2305843009213693951, 1),  # the Mersenne prime 2^61 - 1: slow to test for primality
+    (3, 10_000_000),           # 3^(10^7) is slow to compute
+    (2, 64),
+])
+def test_out_of_bound_fields_are_refused_at_once(p, n, capsys):
+    import time
+
+    for build in (Field, find_irreducible):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            build(p, n)
+        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert cli.main(["field", str(p), str(n)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_field_parameters_are_read_as_python_ints():
+    import numpy as np
+
+    f = Field(np.int64(3), np.int64(2))
+    assert type(f.p) is int and type(f.n) is int and f.order == 9
+    assert find_irreducible(np.int64(3), np.int64(2)) == (1, 0, 1)
+    with pytest.raises(TypeError):
+        Field(3.0, 2)
 
 
 def test_field_identity_is_read_only():
@@ -443,6 +481,85 @@ def test_explog_at_scale_is_a_homomorphism(p, n):
     for _ in range(200):
         i, j = rng.randrange(m), rng.randrange(m)
         assert int(exp[i + j]) == f._mul_idx(int(exp[i]), int(exp[j]))
+
+
+# ---------------------------------------------------------------------------
+# packed odd-p lanes agree with scalar arithmetic
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _lane_field(p, n):
+    """One field per (p, n) for the lane tests (modulus search is scalar)."""
+    return Field(p, n)
+
+
+# lane widths w = bit_length(p) + 1 of 3, 4, 5, 11 and 17, and n = 1
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 7), (3, 12), (5, 8), (7, 7), (13, 5),
+                                 (1021, 2), (65521, 1)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lane_adder_matches_scalar_arithmetic(p, n, data):
+    import numpy as np
+
+    f = _lane_field(p, n)
+    q = f.order
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                               min_size=1, max_size=30))
+    a, b = np.array(pairs).T
+    t = f.tables
+    assert t.add_vec(a, b).dtype == t.sub_vec(a, b).dtype == np.int64
+    assert t.add_vec(a, b).tolist() == [f._add_idx(i, j) for i, j in pairs]
+    assert t.sub_vec(a, b).tolist() == [f._sub_idx(i, j) for i, j in pairs]
+    i, j = pairs[0]
+    assert int(t.add_vec(i, j)) == f._add_idx(i, j)
+    assert int(t.sub_vec(i, j)) == f._sub_idx(i, j)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lane_adder_on_all_pairs(p):
+    import numpy as np
+
+    f = Field(p, 2)
+    x = f.tables.indices
+    a, b = x[:, None], x[None, :]
+    add = [[f._add_idx(i, j) for j in range(f.order)] for i in range(f.order)]
+    sub = [[f._sub_idx(i, j) for j in range(f.order)] for i in range(f.order)]
+    assert f.tables.add_vec(a, b).tolist() == add
+    assert f.tables.sub_vec(a, b).tolist() == sub
+    assert np.array_equal(f.tables.digits,
+                          [[i // p ** j % p for j in range(2)] for i in range(f.order)])
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 10), (7, 7)])
+def test_explog_follows_the_scalar_chain(p, n):
+    """exp[i + 1] = exp[i] * g by scalar products: along the whole chain at
+    3^6, and elsewhere at every join of the doubling blocks and at random
+    positions."""
+    import numpy as np
+
+    f = _lane_field(p, n)
+    exp, _ = f.tables.explog
+    g = f.tables.generator
+    m = f.order - 1
+    assert np.array_equal(np.sort(exp[:m]), np.arange(1, f.order))
+    if m < 1000:
+        at = range(m)
+    else:
+        joins = [(1 << k) + d for k in range(4, m.bit_length()) for d in (-1, 0)]
+        at = sorted(set(joins + random.Random(m).sample(range(m), 300)))
+    for i in at:
+        assert int(exp[i + 1]) == f._mul_idx(int(exp[i]), g)
+
+
+def test_odd_field_counting_never_builds_digits():
+    from zdspec import closedform, spectra
+
+    f = Field(3, 5)
+    spectra.power_rows(spectra.PowerFunction(f, 7))
+    assert "digits" not in vars(f.tables)
+    f = Field(3, 5)
+    closedform.verify_theorem("4.1", f)
+    assert "digits" not in vars(f.tables)
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
