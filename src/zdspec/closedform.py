@@ -150,11 +150,8 @@ def _second_order_affine_count(field: Field, c: FieldElement, m: int) -> int:
     cb = cq + c
     cc = cq + c * c
     rhs = (cb * (c * c + c + 1)).idx
-    cols = []
-    for j in range(n):
-        y = FieldElement(field, 1 << j)
-        img = ca * y.frobenius(m + 1) + cb * (y * y) + cc * y
-        cols.append(img.idx)
+    basis = [FieldElement(field, 1 << j) for j in range(n)]
+    cols = [(ca * y.frobenius(m + 1) + cb * (y * y) + cc * y).idx for y in basis]
     pivots = gf2_eliminate(cols, rhs, n)
     return 0 if pivots is None else 1 << (n - len(pivots))
 

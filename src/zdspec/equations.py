@@ -10,16 +10,17 @@ an independent oracle:
   element, sharing only mul_vec and add_vec with the solver.
 * affine trinomials z^(2^k) + z + B: solve_trinomial applies the
   summation formula with the subfield-trace test by table lookups;
-  solve_trinomial_linear solves the GF(2)-linear system with scalar
-  Field arithmetic and gf2_eliminate.
+  solve_trinomial_linear solves the GF(2)-linear system, its columns
+  (x^(2^k))^j + x^j made with scalar Field arithmetic, by gf2_eliminate.
 * quartics x^4 + a2 x^2 + a1 x + a0: classify_quartic reads the factor
   shape from the companion cubic y^3 + a2 y + a1 and absolute traces;
   brute_factor_shape counts roots in the degree-2 and degree-3
-  extensions as Frobenius gcd degrees, with scalar arithmetic only.
+  extensions as the Frobenius gcd degrees of gf.frobenius_gcd_degrees,
+  read through the Frobenius matrix on scalar index arithmetic.
 
-Every solver returns verified data: trinomial roots are substituted back
-before being returned, and the quartic classifier cross-checks its shape
-against the base-field root count.
+The trinomial and quartic oracles never read field.tables.  Every solver
+returns verified data: trinomial roots are substituted back, and the
+quartic classifier checks its shape against the base-field root count.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .gf import Field, FieldElement, frobenius_gcd_degrees
+from .gf import Field, FieldElement, frobenius_gcd_degrees, poly_gcd
 
 CUBIC_SHAPES = frozenset({(1, 1, 1), (1, 2), (3,)})
 QUARTIC_SHAPES = frozenset({(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)})
@@ -135,10 +137,9 @@ def brute_factor_shape(field: Field, coeffs) -> tuple[int, ...]:
         raise ValueError("shape oracle handles cubics and quartics only")
     if elems[-1] != field.one:
         raise ValueError("polynomial must be monic")
-    if deg == 4 and (elems[0].is_zero or elems[1].is_zero):
-        raise ValueError("quartic oracle needs a0 a1 != 0 (separability)")
-    if deg == 3 and elems[0].is_zero:
-        raise ValueError("cubic oracle needs a nonzero constant term (separability)")
+    deriv = [e.idx if i % 2 else 0 for i, e in enumerate(elems)][1:]  # f' in char 2
+    if len(poly_gcd(field, [e.idx for e in elems], deriv)) != 1:
+        raise ValueError("shape oracle needs a separable polynomial, gcd(f, f') = 1")
     sig = tuple(frobenius_gcd_degrees(elems, 3))
     if deg == 3:
         table = {(3, 3, 3): (1, 1, 1), (1, 3, 1): (1, 2), (0, 0, 3): (3,)}
@@ -252,10 +253,7 @@ def gf2_eliminate(cols, rhs: int, n: int) -> dict[int, tuple[int, int]] | None:
     """
     pivots: dict[int, tuple[int, int]] = {}
     for i in range(n):
-        mask = 0
-        for j in range(n):
-            if (cols[j] >> i) & 1:
-                mask |= 1 << j
+        mask = sum(1 << j for j in range(n) if (cols[j] >> i) & 1)
         r = (rhs >> i) & 1
         for pb, (pm, pr) in pivots.items():
             if (mask >> pb) & 1:
@@ -271,23 +269,20 @@ def gf2_eliminate(cols, rhs: int, n: int) -> dict[int, tuple[int, int]] | None:
 def solve_trinomial_linear(eq: TrinomialEq) -> frozenset[FieldElement]:
     """Independent solver: z -> z^(2^k) + z as a GF(2)-linear map on
     coefficient vectors, solved by Gaussian elimination."""
-    field, k, B = eq.field, eq.k, eq.B
-    n = field.n
-    cols = [field._pow_idx(1 << j, 2 ** k) ^ (1 << j) for j in range(n)]
-    pivots = gf2_eliminate(cols, B.idx, n)
+    field, k, n = eq.field, eq.k, eq.field.n
+    xk = field._pow_idx(2, 1 << k)  # (x^j)^(2^k) = (x^(2^k))^j
+    powers = accumulate([xk] * (n - 1), field._mul_idx, initial=1)
+    cols = [pj ^ (1 << j) for j, pj in enumerate(powers)]
+    pivots = gf2_eliminate(cols, eq.B.idx, n)
     if pivots is None:
         return frozenset()
     free = [j for j in range(n) if j not in pivots]
     out = []
     for assign in range(1 << len(free)):
-        v = 0
-        for t, j in enumerate(free):
-            if (assign >> t) & 1:
-                v |= 1 << j
+        v = sum(1 << j for t, j in enumerate(free) if (assign >> t) & 1)
         for pb in sorted(pivots, reverse=True):
             pm, pr = pivots[pb]
-            val = pr ^ ((pm & v) & ~(1 << pb)).bit_count() % 2
-            if val:
+            if pr ^ ((pm & v) & ~(1 << pb)).bit_count() % 2:
                 v |= 1 << pb
         out.append(FieldElement(field, v))
     return frozenset(out)

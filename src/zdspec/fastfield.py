@@ -310,9 +310,9 @@ class FieldTables:
         """x -> x^(p^k) over all x."""
         return self.pow_map(self.p ** (k % self.n))
 
-    @cached_property
+    @property
     def trace1(self) -> np.ndarray:
-        """Absolute trace values in [0, p); scalar indices equal values."""
+        """Absolute trace values in [0, p), the one trace_map(1) array."""
         return self.trace_map(1)
 
     def trace_map(self, m: int) -> np.ndarray:

@@ -76,59 +76,67 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _ptrim(a)
 
 
-def _frem(a: Sequence["FieldElement"], m: Sequence["FieldElement"]) -> list["FieldElement"]:
-    """a mod m over a Field; m must be monic."""
-    a = list(a)
-    dm = len(m) - 1
+def _irem(field: "Field", a: Sequence[int], m: Sequence[int]) -> list[int]:
+    """a mod the monic m; coefficients are canonical indices of field."""
+    a, dm = list(a), len(m) - 1
     while len(a) > dm:
         lead = a.pop()
         if lead:
             shift = len(a) - dm
             for i in range(dm):
-                a[shift + i] = a[shift + i] - lead * m[i]
+                a[shift + i] = field._sub_idx(a[shift + i], field._mul_idx(lead, m[i]))
     return _ptrim(a)
 
 
-def _fmulmod(a: Sequence["FieldElement"], b: Sequence["FieldElement"],
-             m: Sequence["FieldElement"]) -> list["FieldElement"]:
-    """a * b mod the monic m over a Field."""
-    if not a or not b:
-        return []
-    out = [m[-1].field.zero] * (len(a) + len(b) - 1)
+def _imulmod(field: "Field", a: list[int], b: list[int], m: list[int]) -> list[int]:
+    """a * b mod the monic m; coefficients are canonical indices of field."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _frem(out, m)
+                out[i + j] = field._add_idx(out[i + j], field._mul_idx(ai, bj))
+    return _irem(field, out, m)
+
+
+def poly_gcd(field: "Field", a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Monic gcd, by Euclid, of the monic a and of b, index coefficient lists."""
+    a, b = list(a), _ptrim(list(b))
+    while b:
+        inv = field._inv_idx(b[-1])
+        b = [field._mul_idx(c, inv) for c in b]
+        a, b = b, _irem(field, a, b)
+    return a
 
 
 def frobenius_gcd_degrees(f: Sequence["FieldElement"], kmax: int) -> list[int]:
     """deg gcd(f, x^(Q^k) - x) for k = 1..kmax, f monic over a field of order Q.
 
     The k-th value is the number of distinct roots of f in the degree-k
-    extension (distinct-degree factorization, Cantor-Zassenhaus 1981),
-    found with the coefficients' own field arithmetic: no extension is built.
+    extension (distinct-degree factorization, Cantor-Zassenhaus 1981), read
+    with the field's scalar index arithmetic alone: no extension is built
+    and no table is read.  t -> t^Q is GF(Q)-linear modulo f, so each
+    x^(Q^k) comes through one Frobenius matrix, rows R_i = x^(iQ) mod f.
     """
     field = f[-1].field
-    zero, one = field.zero, field.one
-    t = _frem([zero, one], f)
-    out = []
+    m = [field.index(c) for c in f]
+    xq = [1]  # x^Q mod f, square-and-multiply from the top bit
+    for bit in bin(field.order)[2:]:
+        xq = _imulmod(field, xq, xq, m)
+        if bit == "1":
+            xq = _irem(field, [0, *xq], m)
+    rows = [[1], xq]
+    while len(rows) < len(m) - 1:
+        rows.append(_imulmod(field, rows[-1], xq, m))
+    t, out = _irem(field, [0, 1], m), []
     for _ in range(kmax):
-        power, e = [one], field.order  # t <- t^Q mod f
-        while e:
-            if e & 1:
-                power = _fmulmod(power, t, f)
-            t = _fmulmod(t, t, f)
-            e >>= 1
-        t = power
-        b = t + [zero] * (2 - len(t))
-        b[1] = b[1] - one
-        a, b = list(f), _ptrim(b)
-        while b:  # Euclid on monic divisors
-            inv = b[-1].inverse()
-            b = [c * inv for c in b]
-            a, b = b, _frem(a, b)
-        out.append(len(a) - 1)
+        acc = [0] * len(m)  # t <- t^Q, the sum of t_i R_i
+        for ti, row in zip(t, rows):
+            for j, rj in enumerate(row):
+                acc[j] = field._add_idx(acc[j], field._mul_idx(ti, rj))
+        t = _ptrim(acc)
+        b = t + [0] * (2 - len(t))
+        b[1] = field._sub_idx(b[1], 1)
+        out.append(len(poly_gcd(field, m, b)) - 1)
     return out
 
 

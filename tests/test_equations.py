@@ -323,6 +323,42 @@ def test_cubic_exhaustive_vs_shape_oracle(n):
             assert shape == brute_factor_shape(f, [a1, a2, 0, 1])
 
 
+def test_shape_oracle_decides_separability_by_the_derivative():
+    """gcd(f, f') = 1 is the separability test, not a0 a1 != 0."""
+    f = Field(2, 5)
+    # (x + 3)^2 (x^2 + x + 1): a0 a1 != 0, but a repeated factor
+    with pytest.raises(ValueError):
+        brute_factor_shape(f, [5, 5, 4, 1, 1])
+    rng = random.Random(5)
+    for _ in range(20):  # (x + r)^2 (x + s) = x^3 + s x^2 + r^2 x + r^2 s
+        r, s = f.element(rng.randrange(f.order)), f.element(rng.randrange(f.order))
+        with pytest.raises(ValueError):
+            brute_factor_shape(f, [r * r * s, r * r, s, 1])
+    f = Field(2, 4)
+    for a2 in f.elements():
+        with pytest.raises(ValueError):  # x^2 (x^2 + a2)
+            brute_factor_shape(f, [0, 0, a2, 0, 1])
+        for a1 in f.elements()[1:]:  # x (x^3 + a2 x + a1) is separable
+            cubic_shape, _ = classify_cubic(a2, a1)
+            expected = tuple(sorted((1, *cubic_shape)))
+            assert brute_factor_shape(f, [0, a1, a2, 0, 1]) == expected
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_scalar_oracles_never_build_tables(n):
+    """The oracles stay independent of the lookup tables they check."""
+    f = Field(2, n)
+    rng = random.Random(800 + n)
+    for _ in range(4):
+        a2, a1, a0 = (rng.randrange(f.order), rng.randrange(1, f.order),
+                      rng.randrange(1, f.order))
+        brute_factor_shape(f, [a0, a1, a2, 0, 1])
+        brute_factor_shape(f, [a1, a2, 0, 1])
+        for k in range(1, n):
+            solve_trinomial_linear(TrinomialEq(f, k, rng.randrange(f.order)))
+    assert f._tables is None
+
+
 def test_quartic_single_root_is_one_three():
     """A quartic with exactly one root in the base field must be (1,3)."""
     f = Field(2, 4)

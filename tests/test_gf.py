@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +91,50 @@ def test_frobenius_gcd_degrees_count_extension_roots(p):
         coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
         counts = [int((ext.tables.eval_poly(coeffs) == 0).sum()) for ext in exts]
         assert frobenius_gcd_degrees([zp.scalar(c) for c in coeffs], 4) == counts
+
+
+def _poly_product(field, factors):
+    """Product of coefficient lists (constant term first) of field elements."""
+    out = [field.one]
+    for g in factors:
+        prod = [field.zero] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, n) for n in range(2, 9)] + [(3, 2), (5, 1)])
+def test_frobenius_gcd_degrees_from_known_factors(p, n):
+    """Over GF(Q), deg gcd(f, x^(Q^k) - x) for a product f of distinct monic
+    irreducibles is the sum of the factor degrees d with d | k.  The
+    factors are made with scalar Field arithmetic alone: x + r; x^2 + x + c
+    with Tr(c) = 1 (p = 2) or 1 - 4c a non-square (p odd); and cubics
+    without a root, found by evaluating them at every element."""
+    f = Field(p, n)
+    elems = f.elements()
+    if p == 2:
+        quad = [c for c in elems if f.trace(c) == f.one]
+    else:
+        quad = [c for c in elems if f.quadratic_character(1 - 4 * c) == -1]
+    rng = random.Random(300 + 10 * p + n)
+    cubics = set()
+    while len(cubics) < 3:
+        g = tuple(rng.randrange(f.order) for _ in range(3))
+        cubic = [f.element(c) for c in g] + [f.one]
+        if all(((x + cubic[2]) * x + cubic[1]) * x + cubic[0] for x in elems):
+            cubics.add(g)
+    cubics = [[f.element(c) for c in g] + [f.one] for g in sorted(cubics)]
+    for _ in range(10):
+        factors = ([[-r, f.one] for r in rng.sample(elems, rng.randrange(4))]
+                   + [[c, f.one, f.one] for c in rng.sample(quad, rng.randrange(3))]
+                   + rng.sample(cubics, rng.randrange(3)))
+        if not factors:
+            continue
+        degrees = [len(g) - 1 for g in factors]
+        expected = [sum(d for d in degrees if k % d == 0) for k in range(1, 5)]
+        assert frobenius_gcd_degrees(_poly_product(f, factors), 4) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +635,32 @@ def test_trace_map_is_the_relative_trace(p, n):
     for bad in (0, n + 1):
         with pytest.raises(ValueError):
             t.trace_map(bad)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+def test_tables_hold_each_array_under_one_name(p, n):
+    """No array in vars(field.tables), cache dicts and tuples included, is
+    held twice, so summing what the tables hold counts each array once."""
+    f = Field(p, n)
+    t = f.tables
+    t.trace1, t.trace_map(1), t.pow_map(3), t.explog
+    if p == 2:
+        t.artin_schreier, t.sqrt_map
+    else:
+        t.quadchar
+    assert t.trace_map(1) is t.trace1
+    names = {}
+    stack = list(vars(t).items())
+    while stack:
+        name, v = stack.pop()
+        if isinstance(v, np.ndarray):
+            assert id(v) not in names, f"{name} is also {names[id(v)]}"
+            names[id(v)] = name
+        elif isinstance(v, dict):
+            stack.extend((f"{name}[{k!r}]", w) for k, w in v.items())
+        elif isinstance(v, (tuple, list)):
+            stack.extend((f"{name}[{i}]", w) for i, w in enumerate(v))
+    assert len(names) >= 3
 
 
 # GF(2), GF(3) and GF(4): the products 0 * 0 read the last entry of exp
