@@ -9,7 +9,9 @@ Commands:
 
 Exit codes: 0 all checks passed, 1 a mismatch was found, 2 usage or
 hypothesis error.  Only ``table`` has a guard: above TABLE_ORDER_LIMIT
-its q^2-entry output needs ``--force``.  Outputs are byte-identical
+its q^2-entry output needs ``--force``.  Every usage and hypothesis check
+runs before the first byte is written; ``table`` then writes its output
+a block of rows at a time, as it is produced.  Outputs are byte-identical
 across runs for the same configuration and seed.  A field cache file
 (lines ``p,n,c0,...,cn``) is consulted before any modulus search; its
 path comes from ``--cache`` or the ``ZDSPEC_CACHE`` environment
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterable
 
 from . import closedform, gf, spectra, survey
 
@@ -29,13 +32,15 @@ from . import closedform, gf, spectra, survey
 TABLE_ORDER_LIMIT = 1 << 12
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    data = text.encode("utf-8")
+def _emit(chunks: Iterable[bytes], out_path: str | None) -> None:
+    """Write UTF-8 chunks as they come, to out_path or to stdout."""
     if out_path:
         with open(out_path, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
 
 
 def _build_field(args: argparse.Namespace) -> gf.Field:
@@ -65,7 +70,7 @@ def _cmd_field(args: argparse.Namespace) -> int:
                            "modulus": list(field.modulus)}, indent=2) + "\n"
     else:
         text = gf.cache_line(field) + "\n"
-    _emit(text, args.out)
+    _emit([text.encode()], args.out)
     return 0
 
 
@@ -76,13 +81,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
               f"has {field.order ** 2} entries (limit {TABLE_ORDER_LIMIT ** 2}); "
               f"pass --force to run anyway", file=sys.stderr)
         return 2
-    fn = spectra.PowerFunction(field, args.d)
-    matrix = spectra.full_table(fn, args.which)
+    blocks = spectra.table_blocks(spectra.PowerFunction(field, args.d), args.which)
     if args.fmt == "json":
-        text = spectra.table_to_json(matrix, field, args.which, args.d)
+        chunks = spectra.table_json(blocks, field, args.which, args.d)
     else:
-        text = spectra.table_to_csv(matrix, field)
-    _emit(text, args.out)
+        chunks = spectra.table_csv(blocks, field)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -102,7 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = ",".join(cols) + "\n" + ",".join(str(v) for v in row) + "\n"
     else:
         text = report.to_json()
-    _emit(text, args.out)
+    _emit([text.encode()], args.out)
     return 0 if not report.mismatches else 1
 
 
@@ -112,7 +116,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         text = survey.survey_to_json(results)
     else:
         text = survey.survey_to_csv(results)
-    _emit(text, args.out)
+    _emit([text.encode()], args.out)
     return 1 if any(r.status == "mismatch" for r in results) else 0
 
 
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     if args.command == "survey" and args.list_rows:
-        _emit("\n".join(survey.catalog_keys()) + "\n", args.out)
+        _emit([("\n".join(survey.catalog_keys()) + "\n").encode()], args.out)
         return 0
 
     args.cache = args.cache or os.environ.get("ZDSPEC_CACHE") or None

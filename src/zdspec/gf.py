@@ -102,8 +102,9 @@ def poly_gcd(field: "Field", a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Monic gcd, by Euclid, of the monic a and of b, index coefficient lists."""
     a, b = list(a), _ptrim(list(b))
     while b:
-        inv = field._inv_idx(b[-1])
-        b = [field._mul_idx(c, inv) for c in b]
+        if b[-1] != 1:  # index 1 is the element 1 for every p
+            inv = field._inv_idx(b[-1])
+            b = [field._mul_idx(c, inv) for c in b]
         a, b = b, _irem(field, a, b)
     return a
 

@@ -20,6 +20,12 @@ power map needs only row a = 1, because its counts are invariant under
 (a, b) -> (ca, cb); its spectrum costs that one row, and its full tables
 one row plus a gather.  Any other function costs q rows per table,
 computed one after another on the calling thread.
+
+Tables are produced and written a block of rows at a time
+(table_blocks, table_csv, table_json): each entry picks a fixed-width,
+zero-padded cell holding its decimal string and separator, and the
+padding is dropped from each block's bytes, so emission holds at most
+one block of the q x q table and never a string per entry.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -171,25 +177,6 @@ def power_rows(fn: "PowerFunction") -> tuple[np.ndarray, np.ndarray]:
     return rows
 
 
-def _gather_table(field: Field, row0: np.ndarray, row1: np.ndarray,
-                  e: int) -> np.ndarray:
-    """The q x q table with row 0 as given and entry (a, b) = row1[b * a^-e]
-    for a != 0, gathered in log coordinates a block of rows at a time."""
-    q = field.order
-    m = q - 1
-    exp, log = field.tables.explog
-    out = np.empty((q, q), dtype=np.int64)
-    out[0] = row0
-    out[1:, 0] = row1[0]
-    cyclic = row1[exp[:2 * m]]
-    log_b = log[1:]
-    shift = (-(e % m) * log_b) % m
-    step = max(1, _BLOCK // q)
-    for a in range(1, q, step):
-        out[a:a + step, 1:] = cyclic[shift[a - 1:a - 1 + step, None] + log_b]
-    return out
-
-
 def make_sozd_counter(fn) -> Callable[[int, int], int]:
     """A reusable (a_idx, b_idx) -> count closure, one pair per call.
 
@@ -318,12 +305,14 @@ def evaluation_estimate(field: Field, which: str) -> int:
     return q * q if which == "ddt" else q * q * q
 
 
-def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
-    """Full q x q table of counts, rows and columns in canonical order.
+def table_blocks(fn, which: str) -> Iterator[np.ndarray]:
+    """The q x q table of `which`, rows and columns in canonical order, as
+    int64 blocks of whole rows with at most max(_BLOCK, q) entries each.
 
-    A power map costs one kernel row plus a gather; any other function
-    costs q kernel rows, computed one after another.  `threads` is
-    accepted for compatibility and ignored.
+    The kind is checked and the kernel runs when this is called; only the
+    gather is left to the iteration.  For a power map, entry (a, b) of a
+    row a != 0 is row1[b * a^-e] (e = d for the DDT, 1 otherwise), read in
+    log coordinates; any other function yields one kernel row at a time.
     """
     if which not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {which!r}; expected one of {TABLE_KINDS}")
@@ -331,15 +320,39 @@ def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
     if which == "fbct" and field.p != 2:
         raise ValueError("the Feistel boomerang table requires characteristic 2")
     q = field.order
-    if isinstance(fn, PowerFunction):
-        ddt1, row1 = power_rows(fn)
-        if which == "ddt":
-            return _gather_table(field, _fiber_row(fn, 0)[0], ddt1, fn.d)
-        return _gather_table(field, np.full(q, q, dtype=np.int64), row1, 1)
-    out = np.empty((q, q), dtype=np.int64)
-    for ia in range(q):
-        out[ia] = _ddt_row(fn, ia) if which == "ddt" else _fiber_row(fn, ia)[1]
-    return out
+    if not isinstance(fn, PowerFunction):
+        return ((_ddt_row(fn, ia) if which == "ddt" else _fiber_row(fn, ia)[1])[None]
+                for ia in range(q))
+    ddt1, sozd1 = power_rows(fn)
+    if which == "ddt":
+        row0, row1, e = _fiber_row(fn, 0)[0], ddt1, fn.d
+    else:
+        row0, row1, e = np.full(q, q, dtype=np.int64), sozd1, 1
+    m = q - 1
+    exp, log = field.tables.explog
+    cyclic = row1[exp[:2 * m]]
+    log_b = log[1:]
+    shift = (-(e % m) * log_b) % m
+    step = max(1, _BLOCK // q)
+
+    def gather():
+        yield row0[None]
+        for a in range(0, m, step):
+            s = shift[a:a + step, None]
+            block = np.empty((len(s), q), dtype=np.int64)
+            block[:, 0] = row1[0]
+            block[:, 1:] = cyclic[s + log_b]
+            yield block
+
+    return gather()
+
+
+def full_table(fn, which: str, threads: int | None = None) -> np.ndarray:
+    """Full q x q table of counts: the blocks of table_blocks stacked.
+
+    `threads` is accepted for compatibility and ignored.
+    """
+    return np.concatenate(list(table_blocks(fn, which)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,41 +440,89 @@ def fbct_property_suite(fn) -> PropertySuiteReport:
 # emission
 # ---------------------------------------------------------------------------
 
-def _entry_strings(matrix: np.ndarray, field: Field) -> list[list[str]]:
-    """The q x q entries as rows of decimal strings.  Entries are
-    non-negative counts, so str() runs once per value in 0..max, not once
-    per entry."""
-    if matrix.shape != (field.order, field.order):
-        raise ValueError("matrix shape does not match the field order")
-    if matrix.dtype.kind not in "iu" or matrix.min() < 0:
-        raise ValueError("table entries must be non-negative integer counts")
-    lookup = np.array([str(v) for v in range(int(matrix.max()) + 1)], dtype=object)
-    return lookup[matrix].tolist()
+def element_labels(field: Field) -> list[str]:
+    """FieldElement.label of every element in index order, from one gather
+    of the base-p digits i // p^k % p into fixed-width cells."""
+    p, q = field.p, field.order
+    digits = np.arange(q)[:, None] // p ** np.arange(field.n) % p
+    digits[:, -1] += p  # the last digit's cell ends the label
+    sep = "." if p > 10 else ""
+    cells = np.array([f"{v}{sep}" for v in range(p)] + [f"{v}," for v in range(p)],
+                     dtype=bytes)
+    return cells[digits].tobytes().translate(None, b"\0").decode().split(",")[:-1]
 
 
-def table_to_csv(matrix: np.ndarray, field: Field) -> str:
-    """CSV with a header row of element labels; rows carry their label too."""
-    labels = [field.element(i).label for i in range(field.order)]
-    lines = ["a\\b," + ",".join(labels)]
-    for label, row in zip(labels, _entry_strings(matrix, field)):
-        lines.append(label + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+def _cells(q: int, pre: str, sep: str, end: str) -> np.ndarray:
+    """Zero-padded fixed-width cells pre + str(v) + sep for the counts v
+    in 0..q, then the same cells ending in `end`, for a row's last entry."""
+    values = [str(v) for v in range(q + 1)]
+    return np.array([pre + v + sep for v in values] + [pre + v + end for v in values],
+                    dtype=bytes)
 
 
-def table_to_json(matrix: np.ndarray, field: Field, which: str, d: int | None = None) -> str:
-    """The payload as json.dumps(..., indent=2) writes it.  Only the small
-    fields go through json.dumps; the rows are joined from _entry_strings
-    in its layout (one entry per line, six spaces deep) and spliced in."""
+def _row_bytes(blocks, cells: np.ndarray, lead: np.ndarray) -> Iterator[bytes]:
+    """Each block of rows as bytes: per row its lead cell, then one cell per
+    entry from the first half of `cells` and the row's last from the second
+    half; the zero padding of the cells is dropped at the end."""
+    cells, row_ends = np.split(cells, 2)
+    a = 0
+    for block in blocks:
+        k = len(block)
+        body = np.take(cells, block)
+        body[:, -1] = np.take(row_ends, block[:, -1])
+        out = np.concatenate((lead[a:a + k].view(np.uint8).reshape(k, -1),
+                              body.view(np.uint8).reshape(k, -1)), axis=1)
+        a += k
+        yield out.tobytes().translate(None, b"\0")
+
+
+def table_csv(blocks, field: Field) -> Iterator[bytes]:
+    """CSV of a table given as row blocks: a header row of element
+    labels, then each row after its label."""
+    labels = element_labels(field)
+    yield ("a\\b," + ",".join(labels) + "\n").encode()
+    yield from _row_bytes(blocks, _cells(field.order, "", ",", "\n"),
+                          np.array([s + "," for s in labels], dtype=bytes))
+
+
+def table_json(blocks, field: Field, which: str, d: int | None = None) -> Iterator[bytes]:
+    """The payload as json.dumps(..., indent=2) writes it, for a table
+    given as row blocks.  Only the small fields go through json.dumps; the
+    rows are written in its layout (one entry per line, six spaces deep)
+    between the halves of that skeleton."""
     payload = {
         "table": which,
         "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
-        "labels": [field.element(i).label for i in range(field.order)],
+        "labels": element_labels(field),
         "rows": [],
     }
     if d is not None:
         payload["d"] = d
-    rows = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]"
-                      for row in _entry_strings(matrix, field))
     # "rows": [] occurs once: inside a JSON string every quote is escaped
-    skeleton = json.dumps(payload, indent=2)
-    return skeleton.replace('"rows": []', '"rows": [\n' + rows + "\n  ]", 1) + "\n"
+    head, tail = json.dumps(payload, indent=2).split('"rows": []')
+    yield (head + '"rows": [\n').encode()
+    lead = np.full(field.order, b"    ],\n    [\n")
+    lead[0] = b"    [\n"
+    yield from _row_bytes(blocks, _cells(field.order, "      ", ",\n", "\n"), lead)
+    yield ("    ]\n  ]" + tail + "\n").encode()
+
+
+def _matrix_blocks(matrix: np.ndarray, field: Field):
+    """Row blocks of a q x q matrix of counts."""
+    q = field.order
+    if matrix.shape != (q, q):
+        raise ValueError("matrix shape does not match the field order")
+    if matrix.dtype.kind not in "iu" or matrix.min() < 0 or matrix.max() > q:
+        raise ValueError(f"table entries must be integer counts in 0..{q}")
+    step = max(1, _BLOCK // q)
+    return (matrix[a:a + step] for a in range(0, q, step))
+
+
+def table_to_csv(matrix: np.ndarray, field: Field) -> str:
+    """table_csv of a whole matrix, as one string."""
+    return b"".join(table_csv(_matrix_blocks(matrix, field), field)).decode()
+
+
+def table_to_json(matrix: np.ndarray, field: Field, which: str, d: int | None = None) -> str:
+    """table_json of a whole matrix, as one string."""
+    return b"".join(table_json(_matrix_blocks(matrix, field), field, which, d)).decode()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,48 @@ def test_table_fbct_odd_char_is_error(capsys):
     code, _, err = run(capsys, "table", "fbct", "3", "2", "5")
     assert code == 2
     assert "characteristic 2" in err
+
+
+@pytest.mark.parametrize("argv", [["table", "fbct", "3", "2", "5"],
+                                  ["table", "sozd", "2", "3", "3", "--modulus", "1,1,1,1"],
+                                  ["table", "sozd", "2", "13", "3"]])
+def test_table_checks_run_before_the_first_write(tmp_path, capsys, argv):
+    path = tmp_path / "table.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_stdout_equals_out_file_across_blocks(tmp_path, capsys, fmt):
+    # q = 1024: the 2^20 entries span several row blocks
+    argv = ["table", "sozd", "2", "10", "7", "--format", fmt]
+    path = tmp_path / "table.out"
+    assert main(argv + ["--out", str(path)]) == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+    if fmt == "json":
+        assert len(json.loads(out)["rows"]) == 1024
+    else:
+        assert len(out.splitlines()) == 1025
+
+
+def test_table_emission_memory_is_bounded(tmp_path):
+    """A 4096 x 4096 table is written a block of rows at a time: the
+    traced peak stays far below the 16.8 M entries of the whole table."""
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        code = main(["table", "sozd", "2", "12", "7", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert path.stat().st_size > 4096 ** 2
+    assert peak < 64 * 2 ** 20
 
 
 def test_table_explicit_modulus(capsys):

@@ -137,6 +137,20 @@ def test_frobenius_gcd_degrees_from_known_factors(p, n):
         assert frobenius_gcd_degrees(_poly_product(f, factors), 4) == expected
 
 
+def test_poly_gcd_inverts_only_leads_other_than_one(monkeypatch):
+    """gcd((X + 1)(X + w), c(X + 1)) = X + 1 over GF(2^4), w the element of
+    index 2, on index lists: a monic divisor is used as it is, any other
+    lead is inverted once."""
+    f = Field(2, 4)
+    inverted = []
+    inv = Field._inv_idx
+    monkeypatch.setattr(Field, "_inv_idx", lambda self, i: inverted.append(i) or inv(self, i))
+    assert gf.poly_gcd(f, [2, 3, 1], [1, 1]) == [1, 1]
+    assert inverted == []
+    assert gf.poly_gcd(f, [2, 3, 1], [3, 3]) == [1, 1]
+    assert inverted == [3]
+
+
 # ---------------------------------------------------------------------------
 # field validation
 # ---------------------------------------------------------------------------

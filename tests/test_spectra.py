@@ -15,6 +15,7 @@ from zdspec.spectra import (
     admissible_descriptor,
     ddt_entry,
     differential_uniformity,
+    element_labels,
     fbct_entry,
     fbct_property_suite,
     full_table,
@@ -22,6 +23,7 @@ from zdspec.spectra import (
     sozd_entry,
     sozd_spectrum,
     sozd_uniformity,
+    table_blocks,
     table_to_csv,
     table_to_json,
     _PairCounter,
@@ -426,7 +428,8 @@ def _csv_oracle(matrix, field):
     return "\n".join(lines) + "\n"
 
 
-EMIT_CASES = [(p, n, which) for p, n in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)]
+EMIT_CASES = [(p, n, which) for p, n in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                                         (5, 2), (7, 2), (11, 2)]
               for which in ("ddt", "sozd", "fbct") if p == 2 or which != "fbct"]
 
 
@@ -440,13 +443,40 @@ def test_emission_matches_per_entry_oracles(p, n, which):
         assert table_to_json(matrix, f, which, dd) == _json_oracle(matrix, f, which, dd)
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (7, 2), (11, 2), (13, 1)])
+def test_element_labels_match_scalar_labels(p, n):
+    f = Field(p, n)
+    assert element_labels(f) == [f.element(i).label for i in range(f.order)]
+
+
+def test_table_blocks_are_bounded_row_blocks(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK", 100)
+    f = Field(2, 5)
+    rng = random.Random(8)
+    for fn in (PowerFunction(f, 7), LookupFunction(f, [rng.randrange(32) for _ in range(32)])):
+        for which in ("ddt", "sozd"):
+            blocks = list(table_blocks(fn, which))
+            assert all(b.dtype == np.int64 and b.ndim == 2 and b.shape[1] == 32
+                       and b.size <= max(100, 32) for b in blocks)
+            assert sum(len(b) for b in blocks) == 32
+    # the kind is checked when the blocks are asked for, not when read
+    with pytest.raises(ValueError):
+        table_blocks(PowerFunction(Field(3, 2), 5), "fbct")
+    with pytest.raises(ValueError):
+        table_blocks(PowerFunction(f, 7), "bct")
+
+
 def test_emission_of_lookup_table_and_bad_matrices():
     f = Field(2, 4)
     rng = random.Random(4)
     matrix = full_table(LookupFunction(f, [rng.randrange(16) for _ in range(16)]), "sozd")
     assert table_to_csv(matrix, f) == _csv_oracle(matrix, f)
     assert table_to_json(matrix, f, "sozd") == _json_oracle(matrix, f, "sozd", None)
-    for bad in (-1 - matrix, matrix.astype(float), matrix[:-1]):
+    # a narrow dtype: q = 128 and the counts 0..128 fit in uint8
+    f7 = Field(2, 7)
+    narrow = full_table(PowerFunction(f7, 7), "sozd").astype(np.uint8)
+    assert table_to_csv(narrow, f7) == _csv_oracle(narrow, f7)
+    for bad in (-1 - matrix, matrix + 17, matrix.astype(float), matrix[:-1]):
         with pytest.raises(ValueError):
             table_to_csv(bad, f)
         with pytest.raises(ValueError):
