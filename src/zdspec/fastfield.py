@@ -187,13 +187,28 @@ class FieldTables:
 
     @cached_property
     def generator(self) -> int:
-        """Smallest-index generator of the multiplicative group."""
-        q = self.q
+        """Smallest-index generator of the multiplicative group: the
+        smallest c with c^((q-1)/r) != 1 for every prime r | q - 1.
+
+        For r | p - 1 the power is N(c)^((p-1)/r), with the norm N(c) =
+        c^((q-1)/(p-1)) in Z_p read as a resultant (Field._norm_idx), so
+        r = 2 for every odd p, and every r when n = 1, costs one Euclid
+        over Z_p per candidate.  Only primes r that do not divide p - 1
+        take a scalar power.  Candidates below p lie in the prime field,
+        whose orders divide p - 1, so they are skipped when n > 1.
+        """
+        q, p = self.q, self.p
         if q == 2:
             return 1
         factors = _prime_factors(q - 1)
-        for cand in range(2, q):
-            if all(self.field._pow_idx(cand, (q - 1) // r) != 1 for r in factors):
+        by_norm = [(p - 1) // r for r in factors if (p - 1) % r == 0]
+        by_power = [(q - 1) // r for r in factors if (p - 1) % r]
+        for cand in range(p if self.n > 1 else 2, q):
+            if by_norm:
+                norm = self.field._norm_idx(cand)
+                if any(pow(norm, e, p) == 1 for e in by_norm):
+                    continue
+            if all(self.field._pow_idx(cand, e) != 1 for e in by_power):
                 return cand
         raise RuntimeError("no multiplicative generator found")
 

@@ -63,17 +63,31 @@ def _ptrim(c: list) -> list:
 
 
 def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m must be monic
-    a = list(a)
-    dm = len(m) - 1
-    while a and len(a) - 1 >= dm:
-        lead = a[-1]
+    """a mod m over Z_p; m need not be monic."""
+    a, dm = list(a), len(m) - 1
+    inv = pow(m[-1], -1, p)
+    while len(a) > dm:
+        lead = a.pop() * inv % p
         if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
+            shift = len(a) - dm
+            a[shift:] = [(c - lead * mc) % p for c, mc in zip(a[shift:], m)]
     return _ptrim(a)
+
+
+def _pres(f: Sequence[int], g: Sequence[int], p: int) -> int:
+    """The resultant Res(f, g) over Z_p, by Euclid: with r = f mod g,
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), and
+    Res(f, c) = c^(deg f) for a constant c."""
+    f, g, res = list(f), _ptrim(list(g)), 1
+    while len(g) > 1:
+        r = _pmod(f, g, p)
+        if not r:
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            res = -res
+        res = res * pow(g[-1], len(f) - len(r), p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
 def _irem(field: "Field", a: Sequence[int], m: Sequence[int]) -> list[int]:
@@ -146,37 +160,57 @@ def frobenius_gcd_degrees(f: Sequence["FieldElement"], kmax: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial-division irreducibility test for a monic polynomial over Z_p."""
+    """Ben-Or's irreducibility test for a monic polynomial over Z_p.
+
+    A monic f of degree n is reducible exactly when it has an irreducible
+    factor of some degree k <= n/2, which divides x^(p^k) - x; so f is
+    irreducible exactly when gcd(f, x^(p^k) - x) = 1 for every k <= n/2
+    (M. Ben-Or, FOCS 1981).  k = 1 is a root check at the p elements of
+    Z_p, which alone decides n <= 3; the gcds run in increasing k and stop
+    at the first nontrivial one.  Each x^(p^k) mod f is the previous one
+    raised to the p-th power, h^p = h(x^p) over Z_p.
+    """
     m = list(modulus)
     n = len(m) - 1
     if n < 1 or m[n] != 1:
         return False
     if n == 1:
         return True
-    if m[0] == 0:
-        return False  # divisible by x
-    for deg in range(1, n // 2 + 1):
-        for k in range(p ** deg):
-            cand = _digits(k, p, deg) + [1]
-            if not _pmod(m, cand, p):
+    for r in range(p):
+        value = 0
+        for c in reversed(m):
+            value = (value * r + c) % p
+        if not value:
+            return False
+    h = [0, 1]
+    for k in range(1, n // 2 + 1):
+        spread = [0] * (p * len(h) - p + 1)
+        spread[::p] = h
+        h = _pmod(spread, m, p)  # x^(p^k) mod f
+        if k > 1:
+            b = h + [0] * (2 - len(h))
+            b[1] = (b[1] - 1) % p
+            a, b = m, _ptrim(b)  # gcd(f, x^(p^k) - x) by Euclid
+            while b:
+                a, b = b, _pmod(a, b, p)
+            if len(a) > 1:
                 return False
     return True
 
 
 def irreducibility_oracle(modulus: Sequence[int], p: int) -> bool:
-    """Independent irreducibility check via gcd(f, x^(p^k) - x) over Field(p, 1).
-
-    A monic f of degree n is reducible exactly when it has an irreducible
-    factor of some degree d <= n/2, which divides x^(p^d) - x; so f is
-    irreducible when frobenius_gcd_degrees finds no gcd of positive
-    degree for k <= n/2.
-    """
+    """Independent irreducibility check by trial division: a monic f of
+    degree n is irreducible exactly when no monic polynomial of degree 1
+    to n/2 over Z_p divides it."""
     m = list(modulus)
     n = len(m) - 1
     if n < 1 or m[n] != 1:
         return False
-    zp = Field(p, 1)
-    return not any(frobenius_gcd_degrees([zp.scalar(c) for c in m], n // 2))
+    for deg in range(1, n // 2 + 1):
+        for k in range(p ** deg):
+            if not _pmod(m, _digits(k, p, deg) + [1], p):
+                return False
+    return True
 
 
 def _field_params(p: int, n: int, max_order: int) -> tuple[int, int]:
@@ -403,7 +437,26 @@ class Field:
     def _inv_idx(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._pow_idx(i, self.order - 2)
+        if self.p != 2:
+            return self._pow_idx(i, self.order - 2)
+        # extended Euclid on packed bits (Hankerson, Menezes and Vanstone,
+        # Guide to Elliptic Curve Cryptography, Alg. 2.48): g1 i = u and
+        # g2 i = v mod f throughout, and deg g1 < n at the end
+        u, v, g1, g2 = i, self._modbits, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    def _norm_idx(self, i: int) -> int:
+        """The norm N(i) = i^((q-1)/(p-1)), an element of Z_p, as the
+        resultant Res(f, i) over Z_p with the modulus f: for monic
+        irreducible f it is the product of i over the n conjugate roots of
+        f (Lidl and Niederreiter, Finite Fields, ch. 2)."""
+        return _pres(self.modulus, _digits(i, self.p, self.n), self.p)
 
     def _frob_idx(self, i: int, k: int) -> int:
         k %= self.n
@@ -599,13 +652,17 @@ class SubfieldMap:
     __contains__ = contains
 
     def indices(self) -> tuple[int, ...]:
+        """Indices of the subfield, ascending: 0 and the p^m - 1 powers of
+        g^((q-1)/(p^m-1)), g the generator, read off the exp table."""
         # cached on the field as plain indices: a cached map would be a cycle
         f = self.field
         found = f._subfields.get(self.m)
         if found is None:
-            found = tuple(i for i in range(f.order) if f._frob_idx(i, self.m) == i)
-            if len(found) != self.order:
-                raise RuntimeError("subfield scan found the wrong number of elements")
+            exp = f.tables.explog[0]
+            m = f.order - 1
+            found = (0, *sorted(exp[:m:m // (self.order - 1)].tolist()))
+            if len(set(found)) != self.order:
+                raise RuntimeError("subfield powers are not p^m distinct elements")
             f._subfields[self.m] = found
         return found
 

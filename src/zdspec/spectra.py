@@ -146,7 +146,7 @@ def _fiber_row(fn, ia: int) -> tuple[np.ndarray, np.ndarray]:
         return ddt, np.full(q, q, dtype=np.int64)
     g = _diff_vec(fn, ia)
     ddt = np.bincount(g, minlength=q)
-    by_value = np.argsort(g, kind="stable")
+    by_value = np.argsort(g)  # the order inside a fiber does not matter
     sizes = ddt[ddt > 0]
     starts = np.cumsum(sizes) - sizes
     row = np.zeros(q, dtype=np.int64)

@@ -78,6 +78,85 @@ def test_two_irreducibility_tests_agree():
         assert is_irreducible(coeffs, p) == irreducibility_oracle(coeffs, p)
 
 
+@pytest.mark.parametrize("p,nmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_ben_or_agrees_with_trial_division_on_every_small_monic(p, nmax):
+    for n in range(1, nmax + 1):
+        for k in range(p ** n):
+            coeffs = [k // p ** i % p for i in range(n)] + [1]
+            assert is_irreducible(coeffs, p) == irreducibility_oracle(coeffs, p), coeffs
+
+
+#: find_irreducible(p, n) for every field the benchmark and the survey
+#: build, and for the largest fields of each characteristic in use.
+CANONICAL_MODULI = {
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2) + (0,) * 7 + (1,),
+    (3, 12): (2, 0, 1) + (0,) * 9 + (1,),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 7): (1, 6, 0, 0, 0, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(CANONICAL_MODULI))
+def test_canonical_moduli_are_pinned(p, n):
+    assert find_irreducible(p, n) == CANONICAL_MODULI[p, n]
+
+
+@pytest.mark.parametrize("p,n,count", [(3, 5, None), (5, 3, None), (7, 2, None),
+                                       (13, 2, None), (3, 10, 2000)])
+def test_norm_is_the_power_to_q_minus_1_over_p_minus_1(p, n, count):
+    f = Field(p, n)
+    e = (f.order - 1) // (p - 1)
+    at = range(f.order) if count is None else random.Random(p ** n).sample(range(f.order), count)
+    for c in at:
+        assert f._norm_idx(c) == f._pow_idx(c, e), c
+
+
+@pytest.mark.parametrize("p,n,g", [(3, 10, 34), (3, 12, 14), (7, 7, 14), (7, 3, 22),
+                                   (11, 2, 15), (13, 2, 15), (5, 3, 9), (7, 2, 9),
+                                   (5, 2, 6), (2, 8, 3), (2, 16, 3), (2, 20, 2)])
+def test_generator_is_pinned_and_the_smallest_primitive(p, n, g):
+    """The pinned generator is primitive by the scalar order test, which
+    every smaller candidate fails."""
+    from zdspec.fastfield import _prime_factors
+
+    f = Field(p, n)
+    assert f.tables.generator == g
+    powers = [(f.order - 1) // r for r in _prime_factors(f.order - 1)]
+    for c in range(1, g + 1):
+        assert all(f._pow_idx(c, e) != 1 for e in powers) == (c == g), c
+
+
+def test_char2_inverse_by_euclid_matches_fermat():
+    for n in range(1, 11):
+        f = Field(2, n)
+        for i in range(1, f.order):
+            assert f._inv_idx(i) == f._pow_idx(i, f.order - 2), (n, i)
+    for n in (16, 20):
+        f = Field(2, n)
+        for i in random.Random(n).sample(range(1, f.order), 10_000):
+            assert f._inv_idx(i) == f._pow_idx(i, f.order - 2), (n, i)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_frobenius_gcd_degrees_count_extension_roots(p):
     """Over Z_p, deg gcd(f, x^(p^k) - x) is the number of distinct roots of
@@ -451,6 +530,14 @@ def test_subfield_map():
     assert f64.subfield(2).contains(f64.zero)
     with pytest.raises(ValueError):
         f64.subfield(4)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (2, 8), (3, 4), (5, 2)])
+def test_subfield_indices_are_the_frobenius_fixed_points(p, n):
+    f = Field(p, n)
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        assert f.subfield(k).indices() == tuple(
+            i for i in range(f.order) if f._frob_idx(i, k) == i)
 
 
 def test_subfield_degree_is_an_integer():
