@@ -7,7 +7,10 @@ statement: one (a, b), Field arithmetic, a PredictionOutcome.  The array
 form predict_*_vec is the harness path: index arrays a and b in, and the
 counts (-1 where unpredicted) and case ids into the theorem's case tuple
 out, computed on FieldTables in one numpy pass.  The tests hold the two
-forms equal on every ratio class.
+forms equal on every ratio class.  For 3.1, 4.1 and 4.2 the two forms are
+one formula in two idioms.  For 3.2 they are different computations: the
+scalar form solves the derived affine equation by GF(2) elimination, the
+array form decides it by two traces, so each checks the other.
 
 Each count is read by homogeneity from row a = 1 of the power map, which
 spectra counts exactly, so agreement between prediction and count is a
@@ -165,6 +168,8 @@ def predict_x2m1p3(field: Field, a, b) -> PredictionOutcome:
     equation the reduction produces, because the published trace test
     on a0 does not separate the two outcomes (its quartic always splits;
     the squared substitution in the reduction admits extraneous roots).
+    The equation is solved by elimination here; predict_x2m1p3_vec
+    decides it by two traces instead.
     """
     if field.p != 2:
         raise ValueError("requires characteristic 2")
@@ -193,46 +198,18 @@ X2M1P3_CASES = ("ab(a+b) = 0", "a/b in the half-degree subfield", "a/b root of c
                 "affine equation solvable", "affine equation inconsistent")
 
 
-#: Classes per block of the batched 3.2 elimination, which bounds its
-#: temporaries to _AFFINE_BLOCK * n entries.
-_AFFINE_BLOCK = 1 << 14
-
-
-def _affine_counts(tables, c: np.ndarray, m: int) -> np.ndarray:
-    """_second_order_affine_count for every c at once.  The columns of
-    the GF(2)-linear map are the images of the basis y = x^j, read from
-    frob_map(m + 1); one xor basis per c, keyed by leading bit, gives
-    the rank, and reducing the right-hand side by it the consistency."""
-    n = tables.n
-    frob, sq = tables.frob_map(m + 1), tables.pow_map(2)
-    y = 1 << np.arange(n)
-    out = np.empty(len(c), dtype=np.int64)
-    for start in range(0, len(c), _AFFINE_BLOCK):
-        cs = c[start:start + _AFFINE_BLOCK]
-        c2 = sq[cs]
-        cb = frob[cs] ^ cs
-        cc = frob[cs] ^ c2
-        rhs = tables.mul_vec(cb, c2 ^ cs ^ 1)
-        cols = (tables.mul_vec((c2 ^ cs)[:, None], frob[y])
-                ^ tables.mul_vec(cb[:, None], sq[y]) ^ tables.mul_vec(cc[:, None], y))
-        basis = np.zeros((len(cs), n), dtype=np.int64)
-        for j in range(n):
-            v = cols[:, j]
-            for bit in reversed(range(n)):
-                top = ((v >> bit) & 1).astype(bool)
-                fresh = top & (basis[:, bit] == 0)
-                basis[fresh, bit] = v[fresh]
-                v = np.where(top, v ^ basis[:, bit], v)
-        for bit in reversed(range(n)):
-            rhs = np.where((rhs >> bit) & 1, rhs ^ basis[:, bit], rhs)
-        out[start:start + _AFFINE_BLOCK] = np.where(
-            rhs == 0, 1 << (n - np.count_nonzero(basis, axis=1)), 0)
-    return out
-
-
 def predict_x2m1p3_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
     """predict_x2m1p3 over index arrays: (counts, case ids into
-    X2M1P3_CASES), with the same consistency raises."""
+    X2M1P3_CASES), by two traces instead of an elimination.
+
+    The affine equation L(y) = r, r = (c^Q + c)(c^2 + c + 1), is
+    solvable exactly when Tr(r z) = 0 on the kernel of the trace-form
+    adjoint of L.  Off the subfield classes that kernel is spanned by
+    z1 and z1 w, and ker L = {0, 1, c, c + 1}, so the count is 4 when
+    Tr(r z1) = Tr(r z1 w) = 0 and 0 otherwise.  For odd n,
+    z1 = 1/((c^Q + c)(c^Q + c^2)) and w = c^Q, so r z1 =
+    (c^2 + c + 1)/(c^Q + c^2); for even n, z1 = (c^(2^m) + c)^-3 and
+    w = c^(2^m).  Both traces are read in log coordinates."""
     if field.p != 2:
         raise ValueError("requires characteristic 2")
     n = field.n
@@ -241,17 +218,29 @@ def predict_x2m1p3_vec(field: Field, a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("needs n >= 2")
     tables = field.tables
     a, b = tables.index_array(a), tables.index_array(b)
-    c = tables.explog[0][_log_ratio(tables, a, b)]
-    count = _affine_counts(tables, c, m)
-    generic = (a != 0) & (b != 0) & (a != b)
-    sub = generic & (tables.frob_map(m)[c] == c) if n % 2 == 0 else np.zeros_like(generic)
-    if (count[sub] != 2 ** m).any():
-        raise RuntimeError("subfield case must contribute 2^m solutions")
-    cube = generic & ~sub & ((tables.mul_vec(c, c) ^ c ^ 1) == 0)
-    if (count[cube] != 4).any():
-        raise RuntimeError("c^2+c+1 = 0 case must contribute 4 solutions")
-    case_ids = np.select([~generic, sub, cube, count > 0], [0, 1, 2, 3], 4)
-    return np.where(generic, count, field.order), case_ids
+    exp, log = tables.explog
+    mod = field.order - 1
+    lc = _log_ratio(tables, a, b)
+    c, c2 = exp[lc], exp[2 * lc]
+    lq = lc * 2 ** (m + 1) % mod
+    t = c2 ^ c ^ 1
+    if n % 2:
+        lw = lq
+        lrz = log[t] - log[exp[lq] ^ c2]
+        sub = np.zeros(len(c), dtype=bool)
+    else:
+        lw = lc * 2 ** m % mod
+        h = exp[lw] ^ c
+        lrz = log[exp[lq] ^ c] + log[t] - 3 * log[h]
+        sub = h == 0
+    # a zero under log (t, h, or c^Q + c for c a cube root of unity) only
+    # occurs on the degenerate, subfield and c^2+c+1 classes, which the
+    # case order decides first
+    tr = tables.trace1
+    traces = tr[exp[lrz % mod]] | tr[exp[(lrz + lw) % mod]]
+    case_ids = np.select([(a == 0) | (b == 0) | (a == b), sub, t == 0, traces == 0],
+                         [0, 1, 2, 3], 4)
+    return np.array([field.order, 2 ** m, 4, 4, 0])[case_ids], case_ids
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from zdspec.closedform import (
     verify_theorem,
 )
 from zdspec.equations import QUARTIC_SHAPES, QuarticEq, classify_quartic
-from zdspec.spectra import PowerFunction, make_sozd_counter
+from zdspec.spectra import PowerFunction, make_sozd_counter, power_rows
 
 
 def test_theorem_registry():
@@ -184,7 +184,7 @@ def test_x7_trace_case_coherent_with_quartic_classifier():
 
 @pytest.mark.parametrize("theorem,p,n,classes", [
     *[("3.1", 2, n, None) for n in range(3, 11)],
-    *[("3.2", 2, n, None) for n in range(4, 13)],
+    *[("3.2", 2, n, None) for n in range(2, 13)],
     *[("4.1", 3, n, None) for n in range(2, 8)],
     *[("4.1", p, n, None) for p, n in ((7, 2), (7, 3), (11, 2), (13, 2))],
     *[("4.2", 3, n, None) for n in range(2, 9)],
@@ -211,18 +211,71 @@ def test_array_form_equals_scalar_predictor_on_every_class(theorem, p, n, classe
 
 
 def test_array_forms_check_their_hypotheses(monkeypatch):
-    for theorem, f in [("3.1", Field(3, 2)), ("3.2", Field(3, 2)), ("4.1", Field(2, 4)),
-                       ("4.1", Field(5, 1)), ("4.2", Field(5, 1))]:
+    for theorem, f in [("3.1", Field(3, 2)), ("3.2", Field(3, 2)), ("3.2", Field(2, 1)),
+                       ("4.1", Field(2, 4)), ("4.1", Field(5, 1)), ("4.2", Field(5, 1))]:
         with pytest.raises(ValueError):
             closedform.THEOREMS[theorem].predict_vec(f, [1], [2])
     with pytest.raises(ValueError):
         predict_x7_char2_vec(Field(2, 4), [16], [1])
-    # a subfield class whose affine count is not 2^m is a broken reduction
+    # a subfield class whose affine count is not 2^m is a broken reduction;
+    # only the scalar form counts it, by elimination
     f = Field(2, 6)
     sub = next(c for c in range(2, f.order) if f.tables.frob_map(3)[c] == c)
-    monkeypatch.setattr(closedform, "_affine_counts", lambda t, c, m: np.zeros_like(c))
+    monkeypatch.setattr(closedform, "_second_order_affine_count", lambda f, c, m: 0)
     with pytest.raises(RuntimeError, match="subfield"):
-        closedform.predict_x2m1p3_vec(f, [sub], [1])
+        predict_x2m1p3(f, sub, 1)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_x2m1p3_kernel_facts(n):
+    """The facts behind the two-trace 3.2 criterion, on every non-subfield
+    class c != 0, 1: for L(y) = A y^Q + B y^2 + C y with A = c^2 + c,
+    B = c^Q + c, C = c^Q + c^2 (Q = 2^(m+1)), L(1) = L(c) = 0, and z1,
+    z1 w are independent elements of the kernel of the trace-form adjoint
+    L*(z) = (Az)^(1/Q) + (Bz)^(1/2) + Cz, itself checked against
+    Tr(L(y) z) = Tr(y L*(z)) on random y, z."""
+    f = Field(2, n)
+    t = f.tables
+    m = n // 2
+    mul = t.mul_vec
+    c = t.indices[2:]
+    if n % 2 == 0:
+        c = c[t.frob_map(m)[c] != c]
+    cq, c2 = t.frob_map(m + 1)[c], mul(c, c)
+    A, B, C = c2 ^ c, cq ^ c, cq ^ c2
+    if n % 2:
+        z1, w = t.pow_map(f.order - 2)[mul(B, C)], cq
+    else:
+        w = t.frob_map(m)[c]
+        z1 = t.pow_map(f.order - 4)[w ^ c]
+
+    def L(y):
+        return mul(A, t.frob_map(m + 1)[y]) ^ mul(B, mul(y, y)) ^ mul(C, y)
+
+    def L_adj(z):
+        return t.frob_map(n - m - 1)[mul(A, z)] ^ t.sqrt_map[mul(B, z)] ^ mul(C, z)
+
+    assert not L(np.ones_like(c)).any()
+    assert not L(c).any()
+    assert (z1 != 0).all() and (w != 1).all()
+    assert not L_adj(z1).any()
+    assert not L_adj(mul(z1, w)).any()
+    rng = np.random.default_rng(n)
+    y, z = rng.integers(0, f.order, (2, len(c)))
+    assert (t.trace1[mul(L(y), z)] == t.trace1[mul(y, L_adj(z))]).all()
+
+
+def test_x2m1p3_array_form_equals_row_one_at_large_orders():
+    """Above the orders where the scalar elimination is affordable, the
+    two-trace array form equals row 1 of the power map on every ratio
+    class: the count of (c, 1) is row1[1/c]."""
+    for n in range(13, 21):
+        f = Field(2, n)
+        t = f.tables
+        c = t.indices[1:]
+        counts, _ = closedform.predict_x2m1p3_vec(f, c, np.ones_like(c))
+        row1 = power_rows(PowerFunction(f, 2 ** (n // 2 + 1) + 3))[1]
+        assert (counts == row1[t.pow_map(f.order - 2)[c]]).all(), n
 
 
 # ---------------------------------------------------------------------------
